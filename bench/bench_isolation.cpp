@@ -1,43 +1,37 @@
-//===- bench/bench_isolation.cpp - Fork-per-slot sandbox benchmark --------===//
+//===- bench/bench_isolation.cpp - Process containment benchmark ----------===//
 //
 // Part of the gorace-study project: a C++ reproduction of "A Study of
 // Real-World Data Races in Golang" (PLDI 2022).
 //
 // Measures what PROCESS-level isolation costs and guarantees — the §3.5
-// question once tests can die in ways no in-process machinery survives:
+// question once tests can die in ways no in-process machinery survives —
+// through the persistent worker pool (sweep::pooled):
 //
-//  1. fork/pipe overhead — fault-free sweep wall-clock under
-//     sweep::isolated vs the in-process sweep::resilient path, plus the
-//     PARITY CHECK: {isolated serial, isolated parallel, fork-free}
-//     merged results must be bit-identical for fault-free sweeps;
-//  2. containment under LETHAL fault rates 0 / 1 / 5 / 20% — child
+//  1. overhead — fault-free sweep wall clock, pooled vs the in-process
+//     sweep::resilient path, as a RATIO (best of 3 each), plus the
+//     PARITY CHECK: {pooled serial, pooled parallel} merged results must
+//     be bit-identical to the in-process result for fault-free sweeps;
+//  2. containment under LETHAL fault rates 0 / 1 / 5 / 20% — worker
 //     deaths by class, respawns, completion rate, and the invariant that
 //     no non-faulted slot's record is ever lost or altered (checked per
-//     slot through the checkpoint journals).
-//
-// With --pool, a third section repeats both measurements against the
-// persistent worker pool (sweep::pooled): fault-free overhead as a RATIO
-// to the in-process sweep (best of 3 each), parity, and the same lethal
-// containment battery through the shared-memory transport.
+//     slot against a fault-free in-process journal).
 //
 // Gates (exit nonzero, so CI needs no JSON parsing):
 //  * any parity violation;
-//  * at the 5% lethal rate: completion < 0.99 or any lost/altered
-//    non-faulted slot record (the PR's acceptance criterion — transient
-//    crashers respawn and complete, only chronic ones may quarantine);
-//  * any lost/altered non-faulted record at ANY rate;
-//  * with --pool: pooled fault-free wall clock > 3.0x in-process.
+//  * pooled fault-free wall clock > 3.0x in-process;
+//  * at the 5% lethal rate: completion < 0.99 (transient crashers respawn
+//    and complete, only chronic ones may quarantine);
+//  * any lost/altered non-faulted record at ANY rate.
 //
 // Results are emitted as one JSON object on stdout; progress to stderr.
 //
-// Usage: bench_isolation [--smoke] [--pool] [--out FILE]
+// Usage: bench_isolation [--smoke] [--out FILE]
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Patterns.h"
 #include "inject/Fault.h"
 #include "rt/Instr.h"
-#include "sweep/Isolated.h"
 #include "sweep/Pool.h"
 
 #include <algorithm>
@@ -57,7 +51,6 @@ struct BenchConfig {
   uint64_t NumSeeds = 160; // slots per sweep, per lethal rate
   uint32_t MaxAttempts = 3;
   unsigned Threads = 4;
-  uint64_t SlotsPerChild = 8;
 };
 
 /// Schedule-dependent race: the sweeps need real verdict structure for
@@ -81,17 +74,15 @@ std::string tempJournal(const std::string &Name) {
       .string();
 }
 
-sweep::IsolatedOptions makeOptions(const BenchConfig &Cfg,
-                                   sweep::Runner Body) {
-  sweep::IsolatedOptions IO;
-  IO.Base.FirstSeed = 1;
-  IO.Base.NumSeeds = Cfg.NumSeeds;
-  IO.Base.Threads = Cfg.Threads;
-  IO.Base.MaxAttempts = Cfg.MaxAttempts;
-  IO.Base.RetryBackoffMicros = 0;
-  IO.Base.Body = std::move(Body);
-  IO.SlotsPerChild = Cfg.SlotsPerChild;
-  return IO;
+sweep::PoolOptions makeOptions(const BenchConfig &Cfg, sweep::Runner Body) {
+  sweep::PoolOptions PO;
+  PO.Base.FirstSeed = 1;
+  PO.Base.NumSeeds = Cfg.NumSeeds;
+  PO.Base.Threads = Cfg.Threads;
+  PO.Base.MaxAttempts = Cfg.MaxAttempts;
+  PO.Base.RetryBackoffMicros = 0;
+  PO.Base.Body = std::move(Body);
+  return PO;
 }
 
 /// A fault plan of ONLY process-lethal kinds (equal weights) at \p Rate.
@@ -111,7 +102,7 @@ struct RateResult {
   double Rate = 0.0;
   uint64_t PlannedFaults = 0;
   uint64_t ChronicFaults = 0;
-  uint64_t ChildSpawns = 0;
+  uint64_t WorkerSpawns = 0;
   uint64_t Deaths = 0;
   uint64_t DeathsSignal = 0;
   uint64_t DeathsOom = 0;
@@ -122,8 +113,8 @@ struct RateResult {
   double ElapsedMs = 0.0;
 };
 
-/// Results of the --pool section. Ratio compares best-of-3 fault-free
-/// wall clocks: pooled / in-process.
+/// The whole run. Ratio compares best-of-3 fault-free wall clocks:
+/// pooled / in-process.
 struct PoolBench {
   double InProcessMs = 0.0;
   double PooledMs = 0.0;
@@ -133,68 +124,39 @@ struct PoolBench {
   std::vector<RateResult> Rates;
 };
 
-void emitRateRows(FILE *Out, const std::vector<RateResult> &Rates,
-                  const char *Indent) {
-  for (size_t I = 0; I < Rates.size(); ++I) {
-    const RateResult &R = Rates[I];
+void emitJson(FILE *Out, const BenchConfig &Cfg, const PoolBench &Pool) {
+  std::fprintf(Out,
+               "{\n  \"num_seeds\": %llu,\n  \"max_attempts\": %u,\n"
+               "  \"threads\": %u,\n"
+               "  \"in_process_ms\": %.1f,\n  \"pooled_ms\": %.1f,\n"
+               "  \"ratio\": %.2f,\n  \"parity\": %s,\n"
+               "  \"worker_spawns\": %llu,\n  \"lethal_rates\": [\n",
+               static_cast<unsigned long long>(Cfg.NumSeeds), Cfg.MaxAttempts,
+               Cfg.Threads, Pool.InProcessMs, Pool.PooledMs, Pool.Ratio,
+               Pool.Parity ? "true" : "false",
+               static_cast<unsigned long long>(Pool.WorkerSpawns));
+  for (size_t I = 0; I < Pool.Rates.size(); ++I) {
+    const RateResult &R = Pool.Rates[I];
     std::fprintf(
         Out,
-        "%s{\"rate\": %.2f, \"planned_faults\": %llu, "
-        "\"chronic_faults\": %llu, \"child_spawns\": %llu, "
+        "    {\"rate\": %.2f, \"planned_faults\": %llu, "
+        "\"chronic_faults\": %llu, \"worker_spawns\": %llu, "
         "\"deaths\": %llu, \"deaths_signal\": %llu, \"deaths_oom\": %llu, "
         "\"respawns\": %llu, \"quarantined\": %llu, "
         "\"completion_rate\": %.4f, \"lost_nonfaulted_slots\": %llu, "
         "\"elapsed_ms\": %.1f}%s\n",
-        Indent, R.Rate, static_cast<unsigned long long>(R.PlannedFaults),
+        R.Rate, static_cast<unsigned long long>(R.PlannedFaults),
         static_cast<unsigned long long>(R.ChronicFaults),
-        static_cast<unsigned long long>(R.ChildSpawns),
+        static_cast<unsigned long long>(R.WorkerSpawns),
         static_cast<unsigned long long>(R.Deaths),
         static_cast<unsigned long long>(R.DeathsSignal),
         static_cast<unsigned long long>(R.DeathsOom),
         static_cast<unsigned long long>(R.Respawns),
         static_cast<unsigned long long>(R.Quarantined), R.CompletionRate,
         static_cast<unsigned long long>(R.LostNonFaultedSlots), R.ElapsedMs,
-        I + 1 < Rates.size() ? "," : "");
+        I + 1 < Pool.Rates.size() ? "," : "");
   }
-}
-
-void emitJson(FILE *Out, const BenchConfig &Cfg, double InProcessMs,
-              double IsolatedMs, bool Parity,
-              const std::vector<RateResult> &Rates, const PoolBench *Pool) {
-  std::fprintf(Out,
-               "{\n  \"num_seeds\": %llu,\n  \"max_attempts\": %u,\n"
-               "  \"threads\": %u,\n  \"slots_per_child\": %llu,\n",
-               static_cast<unsigned long long>(Cfg.NumSeeds),
-               Cfg.MaxAttempts, Cfg.Threads,
-               static_cast<unsigned long long>(Cfg.SlotsPerChild));
-  double PerSlotUs = Cfg.NumSeeds
-                         ? (IsolatedMs - InProcessMs) * 1000.0 /
-                               static_cast<double>(Cfg.NumSeeds)
-                         : 0.0;
-  std::fprintf(Out,
-               "  \"overhead\": {\"in_process_ms\": %.1f, "
-               "\"isolated_ms\": %.1f, \"per_slot_us\": %.1f, "
-               "\"parity\": %s},\n",
-               InProcessMs, IsolatedMs, PerSlotUs, Parity ? "true" : "false");
-  std::fprintf(Out, "  \"lethal_rates\": [\n");
-  emitRateRows(Out, Rates, "    ");
-  std::fprintf(Out, "  ]%s\n", Pool ? "," : "");
-  if (Pool) {
-    std::fprintf(Out,
-                 "  \"pool\": {\n"
-                 "    \"in_process_ms\": %.1f,\n"
-                 "    \"pooled_ms\": %.1f,\n"
-                 "    \"ratio\": %.2f,\n"
-                 "    \"parity\": %s,\n"
-                 "    \"worker_spawns\": %llu,\n"
-                 "    \"lethal_rates\": [\n",
-                 Pool->InProcessMs, Pool->PooledMs, Pool->Ratio,
-                 Pool->Parity ? "true" : "false",
-                 static_cast<unsigned long long>(Pool->WorkerSpawns));
-    emitRateRows(Out, Pool->Rates, "      ");
-    std::fprintf(Out, "    ]\n  }\n");
-  }
-  std::fprintf(Out, "}\n");
+  std::fprintf(Out, "  ]\n}\n");
 }
 
 } // namespace
@@ -202,79 +164,86 @@ void emitJson(FILE *Out, const BenchConfig &Cfg, double InProcessMs,
 int main(int Argc, char **Argv) {
   BenchConfig Cfg;
   const char *OutPath = nullptr;
-  bool RunPool = false;
   for (int I = 1; I < Argc; ++I) {
     if (!std::strcmp(Argv[I], "--smoke")) {
       Cfg.NumSeeds = 100; // still enough slots for the 1% rate to bite
-    } else if (!std::strcmp(Argv[I], "--pool")) {
-      RunPool = true;
     } else if (!std::strcmp(Argv[I], "--out") && I + 1 < Argc) {
       OutPath = Argv[++I];
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_isolation [--smoke] [--pool] [--out FILE]\n");
+      std::fprintf(stderr, "usage: bench_isolation [--smoke] [--out FILE]\n");
       return 2;
     }
   }
-  if (!sweep::forkAvailable()) {
-    std::fprintf(stderr, "bench_isolation: no fork() on this platform; "
-                         "nothing to measure\n");
+  if (!sweep::pooledAvailable()) {
+    std::fprintf(stderr, "bench_isolation: no fork() + shared memory on this "
+                         "platform; nothing to measure\n");
     return 0;
   }
 
   int Status = 0;
+  PoolBench Pool;
 
   //===--------------------------------------------------------------------===//
-  // 1. Overhead + fault-free parity across executors.
+  // 1. Fault-free overhead, best of 3 each: the pool amortizes its forks
+  //    across the whole sweep, so its floor is the shm round-trip, not
+  //    fork+exec — the acceptance bar is 3x the in-process sweep. Parity
+  //    against the in-process result at 1 and Threads workers.
   //===--------------------------------------------------------------------===//
-  sweep::IsolatedOptions Base =
-      makeOptions(Cfg, corpus::hostBody(racyBody));
+  sweep::PoolOptions PoolBase = makeOptions(Cfg, corpus::hostBody(racyBody));
+  sweep::ResilientResult InProcess;
+  Pool.InProcessMs = 1e300;
+  Pool.PooledMs = 1e300;
+  sweep::PoolResult PoolParallel;
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    auto StartRep = std::chrono::steady_clock::now();
+    InProcess = sweep::resilient(PoolBase.Base);
+    Pool.InProcessMs = std::min(Pool.InProcessMs, elapsedMs(StartRep));
+    StartRep = std::chrono::steady_clock::now();
+    PoolParallel = sweep::pooled(PoolBase);
+    Pool.PooledMs = std::min(Pool.PooledMs, elapsedMs(StartRep));
+    Pool.Parity = Pool.Parity && PoolParallel.Res == InProcess;
+  }
+  Pool.Ratio =
+      Pool.InProcessMs > 0.0 ? Pool.PooledMs / Pool.InProcessMs : 0.0;
+  Pool.WorkerSpawns = PoolParallel.Stats.WorkerSpawns;
 
-  auto StartIP = std::chrono::steady_clock::now();
-  sweep::ResilientResult InProcess = sweep::resilient(Base.Base);
-  double InProcessMs = elapsedMs(StartIP);
-
-  auto StartIso = std::chrono::steady_clock::now();
-  sweep::IsolatedResult Parallel = sweep::isolated(Base);
-  double IsolatedMs = elapsedMs(StartIso);
-
-  sweep::IsolatedOptions SerialOpts = Base;
-  SerialOpts.Base.Threads = 1;
-  sweep::IsolatedResult Serial = sweep::isolated(SerialOpts);
-
-  sweep::IsolatedOptions ForkFreeOpts = Base;
-  ForkFreeOpts.ForceForkFree = true;
-  sweep::IsolatedResult ForkFree = sweep::isolated(ForkFreeOpts);
-
-  bool Parity = Parallel.Res == InProcess && Serial.Res == InProcess &&
-                ForkFree.Res == InProcess;
-  if (!Parity) {
-    std::fprintf(stderr, "PARITY VIOLATION: fault-free {serial, parallel, "
-                         "fork-free} results diverged\n");
+  sweep::PoolOptions PoolSerial = PoolBase;
+  PoolSerial.Base.Threads = 1;
+  Pool.Parity = Pool.Parity && sweep::pooled(PoolSerial).Res == InProcess;
+  if (!Pool.Parity) {
+    std::fprintf(stderr, "POOL PARITY VIOLATION: fault-free pooled "
+                         "results diverged from in-process\n");
+    Status = 1;
+  }
+  if (Pool.Ratio > 3.0) {
+    std::fprintf(stderr,
+                 "POOL OVERHEAD VIOLATION: pooled %.0fms is %.2fx "
+                 "in-process %.0fms (gate: 3.0x)\n",
+                 Pool.PooledMs, Pool.Ratio, Pool.InProcessMs);
     Status = 1;
   }
   std::fprintf(stderr,
-               "overhead: in-process %.0fms, isolated %.0fms "
-               "(%llu children), parity %s\n",
-               InProcessMs, IsolatedMs,
-               static_cast<unsigned long long>(Parallel.ChildSpawns),
-               Parity ? "ok" : "BROKEN");
+               "pool overhead: in-process %.0fms, pooled %.0fms "
+               "(%.2fx, %llu workers), parity %s\n",
+               Pool.InProcessMs, Pool.PooledMs, Pool.Ratio,
+               static_cast<unsigned long long>(Pool.WorkerSpawns),
+               Pool.Parity ? "ok" : "BROKEN");
 
   //===--------------------------------------------------------------------===//
-  // 2. Containment under lethal fault rates. Ground truth: the
-  //    fault-free journal, compared per slot.
+  // 2. Containment under lethal fault rates. Ground truth: the fault-free
+  //    in-process journal, compared per slot.
   //===--------------------------------------------------------------------===//
   std::string BaselinePath = tempJournal("baseline");
   std::remove(BaselinePath.c_str());
-  sweep::IsolatedOptions Baseline = Base;
-  Baseline.Base.CheckpointPath = BaselinePath;
-  sweep::IsolatedResult BaselineResult = sweep::isolated(Baseline);
+  sweep::ResilientOptions Baseline = PoolBase.Base;
+  Baseline.CheckpointPath = BaselinePath;
+  sweep::ResilientResult BaselineResult = sweep::resilient(Baseline);
   sweep::CheckpointLoad BaselineLoad;
   std::string Error;
-  if (!BaselineResult.Res.CheckpointError.empty() ||
+  if (!BaselineResult.CheckpointError.empty() ||
       !sweep::loadCheckpoint(BaselinePath, BaselineLoad, Error)) {
     std::fprintf(stderr, "bench_isolation: baseline journal failed: %s%s\n",
-                 BaselineResult.Res.CheckpointError.c_str(), Error.c_str());
+                 BaselineResult.CheckpointError.c_str(), Error.c_str());
     return 1;
   }
   std::map<uint64_t, sweep::SlotRecord> BaselineBySlot;
@@ -282,16 +251,15 @@ int main(int Argc, char **Argv) {
     BaselineBySlot[R.Slot] = R;
   std::remove(BaselinePath.c_str());
 
-  std::vector<RateResult> Rates;
   for (double Rate : {0.0, 0.01, 0.05, 0.20}) {
     inject::FaultPlan Plan = lethalPlan(Cfg, Rate);
-    std::string Path = tempJournal("rate");
+    std::string Path = tempJournal("pool-rate");
     std::remove(Path.c_str());
-    sweep::IsolatedOptions IO =
+    sweep::PoolOptions PoolIO =
         makeOptions(Cfg, inject::instrumentedRunner(racyBody, Plan));
-    IO.Base.CheckpointPath = Path;
+    PoolIO.Base.CheckpointPath = Path;
     auto Start = std::chrono::steady_clock::now();
-    sweep::IsolatedResult R = sweep::isolated(IO);
+    sweep::PoolResult R = sweep::pooled(PoolIO);
 
     RateResult Row;
     Row.Rate = Rate;
@@ -299,13 +267,13 @@ int main(int Argc, char **Argv) {
     Row.PlannedFaults = Plan.size();
     for (const auto &[Seed, Spec] : Plan.BySeed)
       Row.ChronicFaults += Spec.LethalAttempts == UINT32_MAX;
-    Row.ChildSpawns = R.ChildSpawns;
-    Row.Deaths = R.deaths();
+    Row.WorkerSpawns = R.Stats.WorkerSpawns;
+    Row.Deaths = R.Stats.deaths();
     Row.DeathsSignal =
-        R.DeathsByClass[static_cast<size_t>(sweep::FaultClass::Signal)];
+        R.Stats.DeathsByClass[static_cast<size_t>(sweep::FaultClass::Signal)];
     Row.DeathsOom =
-        R.DeathsByClass[static_cast<size_t>(sweep::FaultClass::OomKill)];
-    Row.Respawns = R.Respawns;
+        R.Stats.DeathsByClass[static_cast<size_t>(sweep::FaultClass::OomKill)];
+    Row.Respawns = R.Stats.Respawns;
     Row.Quarantined = R.Res.Quarantined.size();
     Row.CompletionRate =
         static_cast<double>(Cfg.NumSeeds - Row.Quarantined) /
@@ -328,7 +296,8 @@ int main(int Argc, char **Argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "bench_isolation: journal failed at rate %.2f: %s%s\n",
+                   "bench_isolation: pool journal failed at rate %.2f: "
+                   "%s%s\n",
                    Rate, R.Res.CheckpointError.c_str(), Error.c_str());
       Status = 1;
     }
@@ -336,169 +305,34 @@ int main(int Argc, char **Argv) {
 
     if (Row.LostNonFaultedSlots) {
       std::fprintf(stderr,
-                   "CONTAINMENT VIOLATION: rate %.2f lost %llu "
+                   "POOL CONTAINMENT VIOLATION: rate %.2f lost %llu "
                    "non-faulted slots\n",
                    Rate,
                    static_cast<unsigned long long>(Row.LostNonFaultedSlots));
       Status = 1;
     }
     if (Rate == 0.05 && Row.CompletionRate < 0.99) {
-      std::fprintf(stderr,
-                   "COMPLETION VIOLATION: rate 0.05 completed %.4f < 0.99\n",
-                   Row.CompletionRate);
+      std::fprintf(
+          stderr,
+          "POOL COMPLETION VIOLATION: rate 0.05 completed %.4f < 0.99\n",
+          Row.CompletionRate);
       Status = 1;
     }
     std::fprintf(stderr,
-                 "rate %.2f: %llu faults (%llu chronic), %llu deaths, "
+                 "pool rate %.2f: %llu faults (%llu chronic), %llu deaths, "
                  "%llu respawns, completion %.4f, %.0fms\n",
                  Rate, static_cast<unsigned long long>(Row.PlannedFaults),
                  static_cast<unsigned long long>(Row.ChronicFaults),
                  static_cast<unsigned long long>(Row.Deaths),
                  static_cast<unsigned long long>(Row.Respawns),
                  Row.CompletionRate, Row.ElapsedMs);
-    Rates.push_back(Row);
+    Pool.Rates.push_back(Row);
   }
 
-  //===--------------------------------------------------------------------===//
-  // 3. --pool: the persistent worker pool through the same gauntlet.
-  //===--------------------------------------------------------------------===//
-  PoolBench Pool;
-  if (RunPool) {
-    auto MakePool = [&](sweep::Runner Body) {
-      sweep::PoolOptions PoolOpts;
-      PoolOpts.Base = makeOptions(Cfg, std::move(Body)).Base;
-      return PoolOpts;
-    };
-
-    // Fault-free overhead, best of 3 each: the pool amortizes its forks
-    // across the whole sweep, so its floor is the shm round-trip, not
-    // fork+exec — the acceptance bar is 3x the in-process sweep.
-    sweep::PoolOptions PoolBase = MakePool(corpus::hostBody(racyBody));
-    Pool.InProcessMs = 1e300;
-    Pool.PooledMs = 1e300;
-    sweep::PoolResult PoolParallel;
-    for (int Rep = 0; Rep < 3; ++Rep) {
-      auto StartRep = std::chrono::steady_clock::now();
-      sweep::ResilientResult IP = sweep::resilient(PoolBase.Base);
-      Pool.InProcessMs = std::min(Pool.InProcessMs, elapsedMs(StartRep));
-      StartRep = std::chrono::steady_clock::now();
-      PoolParallel = sweep::pooled(PoolBase);
-      Pool.PooledMs = std::min(Pool.PooledMs, elapsedMs(StartRep));
-      Pool.Parity = Pool.Parity && PoolParallel.Res == IP;
-    }
-    Pool.Ratio = Pool.InProcessMs > 0.0 ? Pool.PooledMs / Pool.InProcessMs
-                                        : 0.0;
-    Pool.WorkerSpawns = PoolParallel.Stats.WorkerSpawns;
-
-    sweep::PoolOptions PoolSerial = PoolBase;
-    PoolSerial.Base.Threads = 1;
-    Pool.Parity =
-        Pool.Parity && sweep::pooled(PoolSerial).Res == InProcess &&
-        PoolParallel.Res == InProcess;
-    if (!Pool.Parity) {
-      std::fprintf(stderr, "POOL PARITY VIOLATION: fault-free pooled "
-                           "results diverged from in-process\n");
-      Status = 1;
-    }
-    if (Pool.Ratio > 3.0) {
-      std::fprintf(stderr,
-                   "POOL OVERHEAD VIOLATION: pooled %.0fms is %.2fx "
-                   "in-process %.0fms (gate: 3.0x)\n",
-                   Pool.PooledMs, Pool.Ratio, Pool.InProcessMs);
-      Status = 1;
-    }
-    std::fprintf(stderr,
-                 "pool overhead: in-process %.0fms, pooled %.0fms "
-                 "(%.2fx, %llu workers), parity %s\n",
-                 Pool.InProcessMs, Pool.PooledMs, Pool.Ratio,
-                 static_cast<unsigned long long>(Pool.WorkerSpawns),
-                 Pool.Parity ? "ok" : "BROKEN");
-
-    // Containment through the shm transport, against the same fault-free
-    // baseline journal.
-    for (double Rate : {0.0, 0.01, 0.05, 0.20}) {
-      inject::FaultPlan Plan = lethalPlan(Cfg, Rate);
-      std::string Path = tempJournal("pool-rate");
-      std::remove(Path.c_str());
-      sweep::PoolOptions PoolIO =
-          MakePool(inject::instrumentedRunner(racyBody, Plan));
-      PoolIO.Base.CheckpointPath = Path;
-      auto Start = std::chrono::steady_clock::now();
-      sweep::PoolResult R = sweep::pooled(PoolIO);
-
-      RateResult Row;
-      Row.Rate = Rate;
-      Row.ElapsedMs = elapsedMs(Start);
-      Row.PlannedFaults = Plan.size();
-      for (const auto &[Seed, Spec] : Plan.BySeed)
-        Row.ChronicFaults += Spec.LethalAttempts == UINT32_MAX;
-      Row.ChildSpawns = R.Stats.WorkerSpawns;
-      Row.Deaths = R.Stats.deaths();
-      Row.DeathsSignal =
-          R.Stats.DeathsByClass[static_cast<size_t>(sweep::FaultClass::Signal)];
-      Row.DeathsOom = R.Stats.DeathsByClass[static_cast<size_t>(
-          sweep::FaultClass::OomKill)];
-      Row.Respawns = R.Stats.Respawns;
-      Row.Quarantined = R.Res.Quarantined.size();
-      Row.CompletionRate =
-          static_cast<double>(Cfg.NumSeeds - Row.Quarantined) /
-          static_cast<double>(Cfg.NumSeeds);
-
-      sweep::CheckpointLoad Load;
-      if (R.Res.CheckpointError.empty() &&
-          sweep::loadCheckpoint(Path, Load, Error)) {
-        std::map<uint64_t, sweep::SlotRecord> BySlot;
-        for (const sweep::SlotRecord &Rec : Load.Records)
-          BySlot[Rec.Slot] = Rec;
-        for (const auto &[Slot, BaseRec] : BaselineBySlot) {
-          if (Plan.faulted(BaseRec.Seed))
-            continue;
-          auto It = BySlot.find(Slot);
-          if (It == BySlot.end() || !(It->second == BaseRec))
-            ++Row.LostNonFaultedSlots;
-        }
-      } else {
-        std::fprintf(stderr,
-                     "bench_isolation: pool journal failed at rate %.2f: "
-                     "%s%s\n",
-                     Rate, R.Res.CheckpointError.c_str(), Error.c_str());
-        Status = 1;
-      }
-      std::remove(Path.c_str());
-
-      if (Row.LostNonFaultedSlots) {
-        std::fprintf(
-            stderr,
-            "POOL CONTAINMENT VIOLATION: rate %.2f lost %llu "
-            "non-faulted slots\n",
-            Rate, static_cast<unsigned long long>(Row.LostNonFaultedSlots));
-        Status = 1;
-      }
-      if (Rate == 0.05 && Row.CompletionRate < 0.99) {
-        std::fprintf(
-            stderr,
-            "POOL COMPLETION VIOLATION: rate 0.05 completed %.4f < 0.99\n",
-            Row.CompletionRate);
-        Status = 1;
-      }
-      std::fprintf(stderr,
-                   "pool rate %.2f: %llu faults (%llu chronic), %llu deaths, "
-                   "%llu respawns, completion %.4f, %.0fms\n",
-                   Rate, static_cast<unsigned long long>(Row.PlannedFaults),
-                   static_cast<unsigned long long>(Row.ChronicFaults),
-                   static_cast<unsigned long long>(Row.Deaths),
-                   static_cast<unsigned long long>(Row.Respawns),
-                   Row.CompletionRate, Row.ElapsedMs);
-      Pool.Rates.push_back(Row);
-    }
-  }
-
-  emitJson(stdout, Cfg, InProcessMs, IsolatedMs, Parity, Rates,
-           RunPool ? &Pool : nullptr);
+  emitJson(stdout, Cfg, Pool);
   if (OutPath) {
     if (FILE *F = std::fopen(OutPath, "w")) {
-      emitJson(F, Cfg, InProcessMs, IsolatedMs, Parity, Rates,
-               RunPool ? &Pool : nullptr);
+      emitJson(F, Cfg, Pool);
       std::fclose(F);
     } else {
       std::fprintf(stderr, "bench_isolation: cannot write %s\n", OutPath);

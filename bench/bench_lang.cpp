@@ -10,8 +10,9 @@
 //     pinned expectation in lang::langPorts() and (b) a sweep of its
 //     hand-written C++ twin under identical seeds. Always-ports must
 //     flag on every seed; race-free ports must sweep clean.
-//  2. EXECUTOR PARITY — serial pipeline::sweep vs trace::parallelSweep
-//     at 1, 2 and 8 threads must agree bit-for-bit per port.
+//  2. EXECUTOR PARITY — serial pipeline::sweep vs the in-process
+//     parallel executor (sweep::resilient, one attempt per seed) at 1, 2
+//     and 8 threads must agree bit-for-bit per port, nothing quarantined.
 //  3. DIFFERENTIAL — >= 500 generated programs with known ground truth;
 //     any miss, false positive, parse failure, panic, deadlock, or leak
 //     fails the gate.
@@ -30,7 +31,7 @@
 #include "lang/Interp.h"
 #include "lang/Ports.h"
 #include "pipeline/Sweep.h"
-#include "trace/ParallelSweep.h"
+#include "sweep/Resilient.h"
 
 #include <algorithm>
 #include <chrono>
@@ -249,12 +250,13 @@ int main(int Argc, char **Argv) {
     }
 
     for (unsigned Threads : {1u, 2u, 8u}) {
-      trace::ParallelSweepOptions POpts;
+      sweep::ResilientOptions POpts;
       POpts.NumSeeds = Cfg.ParitySeeds;
       POpts.Threads = Threads;
-      pipeline::SweepResult Par = trace::parallelSweep(POpts,
-                                                       lang::body(Prog));
-      if (!(Par == Serial)) {
+      POpts.MaxAttempts = 1;
+      POpts.Body = lang::runner(Prog);
+      sweep::ResilientResult Par = sweep::resilient(POpts);
+      if (!(Par.Sweep == Serial) || !Par.Quarantined.empty()) {
         Row.ExecParity = false;
         std::fprintf(stderr, "EXECUTOR MISMATCH: %s at %u threads\n",
                      Port.Id.c_str(), Threads);

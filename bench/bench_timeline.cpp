@@ -7,13 +7,16 @@
 //
 //  1. BIT-IDENTITY — a sweep with tracing enabled must be completely
 //     indistinguishable, result-wise, from the same sweep without it:
-//     pipeline::sweep, trace::parallelSweep, sweep::adaptive,
-//     sweep::resilient, and sweep::isolated results compare equal
+//     pipeline::sweep, the parallel sweep (sweep::resilient, one attempt
+//     per seed, also equal to the serial sweep), sweep::adaptive,
+//     sweep::resilient, and sweep::pooled results compare equal
 //     (fingerprint sets included), and the checkpoint journals written by
-//     a traced and an untraced isolated sweep are byte-for-byte equal.
-//  2. TRACE VALIDITY — the traced sweep::isolated run's Chrome trace JSON
+//     a traced and an untraced single-worker pooled sweep are
+//     byte-for-byte equal.
+//  2. TRACE VALIDITY — the traced sweep::pooled run's Chrome trace JSON
 //     is structurally sound and contains both parent supervisor spans and
-//     child spans stitched over the pipe with a real (nonzero) pid.
+//     worker spans stitched through the shm arena with a real (nonzero)
+//     pid.
 //  3. OVERHEAD — a DISABLED timeline threaded through the sweep must cost
 //     nothing measurable next to no timeline at all (the null-handle
 //     contract), and the recording fast path is measured per event for
@@ -33,8 +36,7 @@
 #include "pipeline/Sweep.h"
 #include "rt/Instr.h"
 #include "sweep/Adaptive.h"
-#include "sweep/Isolated.h"
-#include "trace/ParallelSweep.h"
+#include "sweep/Pool.h"
 
 #include <chrono>
 #include <cstdio>
@@ -84,17 +86,17 @@ struct Identity {
   bool Parallel = false;
   bool Adaptive = false;
   bool Resilient = false;
-  bool Isolated = false;
+  bool Pooled = false;
   bool Journal = false;
 
   bool all() const {
-    return Sweep && Parallel && Adaptive && Resilient && Isolated && Journal;
+    return Sweep && Parallel && Adaptive && Resilient && Pooled && Journal;
   }
 };
 
 struct TraceShape {
   size_t Tracks = 0;
-  size_t ChildTracks = 0;   ///< Stitched tracks with a nonzero pid.
+  size_t ChildTracks = 0;   ///< Stitched worker tracks (nonzero pid).
   uint64_t Events = 0;      ///< Retained events across all tracks.
   uint64_t ChildEvents = 0; ///< Retained events on stitched tracks.
   uint64_t Dropped = 0;
@@ -150,11 +152,11 @@ void emitJson(FILE *Out, const Overhead &OH, const Identity &Id,
                OH.enabledPct(), OH.NullNsPerOp, OH.RecordNsPerEvent);
   std::fprintf(Out,
                "  \"identity\": {\"sweep\": %s, \"parallel\": %s, "
-               "\"adaptive\": %s, \"resilient\": %s, \"isolated\": %s, "
+               "\"adaptive\": %s, \"resilient\": %s, \"pooled\": %s, "
                "\"journal\": %s},\n",
                Id.Sweep ? "true" : "false", Id.Parallel ? "true" : "false",
                Id.Adaptive ? "true" : "false", Id.Resilient ? "true" : "false",
-               Id.Isolated ? "true" : "false", Id.Journal ? "true" : "false");
+               Id.Pooled ? "true" : "false", Id.Journal ? "true" : "false");
   std::fprintf(Out,
                "  \"trace\": {\"tracks\": %zu, \"child_tracks\": %zu, "
                "\"events\": %llu, \"child_events\": %llu, \"dropped\": %llu, "
@@ -211,14 +213,19 @@ int main(int Argc, char **Argv) {
   // 1b. Parallel sweep identity (also vs the serial result).
   //===--------------------------------------------------------------------===//
   {
-    trace::ParallelSweepOptions PO;
+    sweep::ResilientOptions PO;
     PO.NumSeeds = NumSeeds;
     PO.Threads = 4;
+    PO.MaxAttempts = 1;
+    PO.Body = corpus::hostBody(racyBody);
     obs::Timeline Tl;
-    trace::ParallelSweepOptions Traced = PO;
+    sweep::ResilientOptions Traced = PO;
     Traced.Timeline = &Tl;
-    Id.Parallel = trace::parallelSweep(PO, racyBody) == Plain &&
-                  trace::parallelSweep(Traced, racyBody) == Plain;
+    auto MatchesSerial = [&Plain](const sweep::ResilientResult &R) {
+      return R.Sweep == Plain && R.Quarantined.empty();
+    };
+    Id.Parallel = MatchesSerial(sweep::resilient(PO)) &&
+                  MatchesSerial(sweep::resilient(Traced));
   }
 
   //===--------------------------------------------------------------------===//
@@ -252,42 +259,41 @@ int main(int Argc, char **Argv) {
   }
 
   //===--------------------------------------------------------------------===//
-  // 1e. Isolated sweep identity + journal bytes + the stitched trace.
+  // 1e. Pooled sweep identity + journal bytes + the stitched trace.
   //===--------------------------------------------------------------------===//
-  bool ForkFreeOnly = !sweep::forkAvailable();
+  bool ForkFreeOnly = !sweep::pooledAvailable();
   TraceShape TS;
-  obs::Timeline IsoTl;
+  obs::Timeline PoolTl;
   {
-    sweep::IsolatedOptions IO;
-    IO.Base = RO;
-    IO.ForceForkFree = ForkFreeOnly;
+    sweep::PoolOptions PO;
+    PO.Base = RO;
 
-    sweep::IsolatedResult PlainIso = sweep::isolated(IO);
+    sweep::PoolResult PlainPool = sweep::pooled(PO);
 
-    sweep::IsolatedOptions TracedIO = IO;
-    TracedIO.Base.Timeline = &IsoTl;
-    sweep::IsolatedResult TracedIso = sweep::isolated(TracedIO);
+    sweep::PoolOptions TracedPO = PO;
+    TracedPO.Base.Timeline = &PoolTl;
+    sweep::PoolResult TracedPool = sweep::pooled(TracedPO);
 
-    Id.Isolated = TracedIso.Res == PlainIso.Res && PlainIso.Res == PlainR;
-    TS.Chunks = TracedIso.TimelineChunks;
+    Id.Pooled = TracedPool.Res == PlainPool.Res && PlainPool.Res == PlainR;
+    TS.Chunks = TracedPool.Stats.TimelineChunks;
 
     // Journal byte-identity needs a deterministic append order, which
-    // only a single supervisor thread provides (with several, appends
-    // land in pipe-arrival order) — the point here is that TRACING does
-    // not change the bytes, so compare under the serial supervisor.
+    // only a single worker provides (with several, appends land in
+    // arena-drain order) — the point here is that TRACING does not
+    // change the bytes, so compare with one worker.
     std::string PlainJournal = tempPath("plain.ckpt");
     std::string TracedJournal = tempPath("traced.ckpt");
     std::remove(PlainJournal.c_str());
     std::remove(TracedJournal.c_str());
     obs::Timeline JournalTl;
-    sweep::IsolatedOptions SerialPlain = IO;
+    sweep::PoolOptions SerialPlain = PO;
     SerialPlain.Base.Threads = 1;
     SerialPlain.Base.CheckpointPath = PlainJournal;
-    sweep::isolated(SerialPlain);
-    sweep::IsolatedOptions SerialTraced = SerialPlain;
+    sweep::pooled(SerialPlain);
+    sweep::PoolOptions SerialTraced = SerialPlain;
     SerialTraced.Base.CheckpointPath = TracedJournal;
     SerialTraced.Base.Timeline = &JournalTl;
-    sweep::isolated(SerialTraced);
+    sweep::pooled(SerialTraced);
 
     std::string PlainBytes, TracedBytes;
     Id.Journal = readFile(PlainJournal, PlainBytes) &&
@@ -296,8 +302,8 @@ int main(int Argc, char **Argv) {
     std::remove(PlainJournal.c_str());
     std::remove(TracedJournal.c_str());
 
-    for (size_t I = 0; I < IsoTl.numTracks(); ++I) {
-      const obs::TimelineTrack &T = IsoTl.trackAt(I);
+    for (size_t I = 0; I < PoolTl.numTracks(); ++I) {
+      const obs::TimelineTrack &T = PoolTl.trackAt(I);
       ++TS.Tracks;
       TS.Events += T.size();
       TS.Dropped += T.droppedEvents();
@@ -306,7 +312,7 @@ int main(int Argc, char **Argv) {
         TS.ChildEvents += T.size();
       }
     }
-    std::string Json = IsoTl.chromeTraceJson();
+    std::string Json = PoolTl.chromeTraceJson();
     TS.JsonValid = validateTraceJson(Json) &&
                    (ForkFreeOnly || (TS.ChildTracks > 0 && TS.ChildEvents > 0));
     if (!TraceOut.empty()) {
@@ -322,21 +328,21 @@ int main(int Argc, char **Argv) {
   if (!Id.all()) {
     std::fprintf(stderr,
                  "IDENTITY VIOLATION: sweep %d parallel %d adaptive %d "
-                 "resilient %d isolated %d journal %d\n",
-                 Id.Sweep, Id.Parallel, Id.Adaptive, Id.Resilient, Id.Isolated,
+                 "resilient %d pooled %d journal %d\n",
+                 Id.Sweep, Id.Parallel, Id.Adaptive, Id.Resilient, Id.Pooled,
                  Id.Journal);
     Status = 1;
   }
   if (!TS.JsonValid) {
     std::fprintf(stderr,
-                 "TRACE VIOLATION: tracks %zu child tracks %zu child events "
-                 "%llu json invalid or missing stitched child spans\n",
+                 "TRACE VIOLATION: tracks %zu worker tracks %zu worker events "
+                 "%llu json invalid or missing stitched worker spans\n",
                  TS.Tracks, TS.ChildTracks,
                  static_cast<unsigned long long>(TS.ChildEvents));
     Status = 1;
   }
   std::fprintf(stderr,
-               "identity: %s; trace: %zu tracks (%zu stitched child), "
+               "identity: %s; trace: %zu tracks (%zu stitched worker), "
                "%llu events, %llu chunks\n",
                Id.all() ? "ok" : "BROKEN", TS.Tracks, TS.ChildTracks,
                static_cast<unsigned long long>(TS.Events),

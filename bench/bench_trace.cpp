@@ -3,16 +3,19 @@
 // Part of the gorace-study project: a C++ reproduction of "A Study of
 // Real-World Data Races in Golang" (PLDI 2022).
 //
-// Measures the three costs of the record/replay/sweep subsystem
-// (src/trace/):
+// Measures the record/replay costs of src/trace/ and the parallel
+// sweep's scaling:
 //
 //  1. capture overhead — wall-clock ratio of a seed sweep with a
 //     TraceSink teeing every detector event vs the same sweep untraced;
 //  2. offline replay throughput — decoded events applied to a fresh
 //     detector per second (the "analyze at scale without re-running the
 //     scheduler" rate);
-//  3. sweep scaling — wall-clock speedup of trace::parallelSweep over the
+//  3. sweep scaling — wall-clock speedup of the in-process parallel
+//     executor (sweep::resilient, one attempt per seed) over the
 //     single-threaded pipeline::sweep baseline for the same seed range.
+//     The two results must compare equal (operator==, nothing
+//     quarantined); the exit status says whether they did.
 //
 // Results are emitted as a single JSON object on stdout (machine
 // consumption; EXPERIMENTS.md records representative numbers); progress
@@ -23,13 +26,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Offline.h"
-#include "trace/ParallelSweep.h"
 #include "trace/Trace.h"
 
+#include "corpus/Patterns.h"
 #include "pipeline/Sweep.h"
 #include "rt/Channel.h"
 #include "rt/Instr.h"
 #include "rt/Sync.h"
+#include "sweep/Resilient.h"
 
 #include <chrono>
 #include <cstdio>
@@ -160,16 +164,17 @@ int main(int Argc, char **Argv) {
   pipeline::SweepResult Serial = pipeline::sweep(SerialOpts, workloadBody);
   double SerialSeconds = secondsSince(T0);
 
-  trace::ParallelSweepOptions ParOpts;
+  sweep::ResilientOptions ParOpts;
   ParOpts.NumSeeds = NumSeeds;
   ParOpts.Threads = Threads;
+  ParOpts.MaxAttempts = 1;
+  ParOpts.Body = corpus::hostBody(workloadBody);
   T0 = std::chrono::steady_clock::now();
-  pipeline::SweepResult Parallel = trace::parallelSweep(ParOpts, workloadBody);
+  sweep::ResilientResult Parallel = sweep::resilient(ParOpts);
   double ParallelSeconds = secondsSince(T0);
   double Speedup = ParallelSeconds > 0 ? SerialSeconds / ParallelSeconds : 0;
 
-  bool ResultsMatch = Serial.TotalReports == Parallel.TotalReports &&
-                      Serial.Findings.size() == Parallel.Findings.size();
+  bool ResultsMatch = Parallel.Sweep == Serial && Parallel.Quarantined.empty();
 
   std::printf(
       "{\n"
@@ -205,6 +210,6 @@ int main(int Argc, char **Argv) {
       TracedEvents ? (double)TracedBytes / (double)TracedEvents : 0.0,
       (unsigned long long)ReplayedEvents, ReplaySeconds, EventsPerSec,
       SerialSeconds, ParallelSeconds, Speedup, Serial.Findings.size(),
-      Parallel.Findings.size(), ResultsMatch ? "true" : "false");
+      Parallel.Sweep.Findings.size(), ResultsMatch ? "true" : "false");
   return ResultsMatch ? 0 : 1;
 }

@@ -41,8 +41,8 @@
 ///
 /// PROCESS-LETHAL kinds (PR 5): faults no in-process machinery can
 /// contain — the paper's fleet survived them only because each test ran
-/// in its own process, and so does our sweep::isolated executor. Inside
-/// a sandboxed child (inject::enterSandbox) they kill the process and
+/// in its own process, and so does our sweep::pooled executor. Inside
+/// a sandboxed worker (inject::enterSandbox) they kill the process and
 /// the parent classifies the death; outside a sandbox they DOWNGRADE to
 /// a foreign C++ exception so the PR-4 in-process path quarantines the
 /// slot instead of the harness dying:
@@ -83,7 +83,7 @@ enum class FaultKind : uint8_t {
   SchedulerStall,
   CpuSpin,
   LatencySpike,
-  // Process-lethal kinds: only sweep::isolated can contain these (see
+  // Process-lethal kinds: only sweep::pooled can contain these (see
   // file comment; outside a sandbox they downgrade to ForeignException).
   HeapExhaustion,
   WildWrite,
@@ -138,8 +138,8 @@ bool isLethalFault(FaultKind Kind);
 // Sandbox gating
 //
 // Lethal faults must only actually kill a process whose death something
-// contains. sweep::isolated's forked child calls enterSandbox() before
-// running its slots; detonate() consults inSandbox() and, outside one,
+// contains. A sweep::pooled worker calls enterSandbox() before running
+// its slots; detonate() consults inSandbox() and, outside one,
 // downgrades lethal kinds to a foreign C++ exception the PR-4 in-process
 // machinery quarantines. The flag is process-global and one-way (a child
 // never leaves its sandbox; the fork-free parent never enters one).

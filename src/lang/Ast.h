@@ -10,10 +10,10 @@
 /// produces and the tree-walking interpreter (lang/Interp.h) executes.
 ///
 /// A Program is IMMUTABLE after parsing and designed to be shared across
-/// threads: trace::parallelSweep runs the same Program concurrently from
-/// several workers, each in its own rt::Runtime, so nothing in here may
-/// be mutated during interpretation (the interpreter keeps all execution
-/// state in per-run environments).
+/// threads: a parallel sweep (sweep::resilient with Threads > 1) runs the
+/// same Program concurrently from several workers, each in its own
+/// rt::Runtime, so nothing in here may be mutated during interpretation
+/// (the interpreter keeps all execution state in per-run environments).
 ///
 /// One deliberate deviation from Go: function literals may be NAMED
 /// (`func ProcessJob() { ... }` as an expression). Calling a named

@@ -30,8 +30,8 @@
 /// RunResult::Panics — never the sweep hosting it.
 ///
 /// A Program is immutable and may be shared across threads; each run
-/// builds its own interpreter state, so `runner()` is safe to hand to
-/// trace::parallelSweep.
+/// builds its own interpreter state, so `runner()` is safe to hand to a
+/// thread-parallel executor (sweep::resilient with Threads > 1).
 ///
 //===----------------------------------------------------------------------===//
 

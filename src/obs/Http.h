@@ -8,7 +8,7 @@
 /// \file
 /// A dependency-free HTTP server for the Prometheus text exposition
 /// (obs/Export.h): one blocking-socket thread, loopback only, so a real
-/// Prometheus can scrape a long-running sweep — e.g. sweep::isolated
+/// Prometheus can scrape a long-running sweep — e.g. sweep::pooled
 /// grinding a multi-hour fleet — instead of waiting for the end-of-run
 /// snapshot dump.
 ///

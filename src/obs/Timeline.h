@@ -34,8 +34,8 @@
 ///
 /// Export targets: Chrome trace-event JSON (load the file in
 /// chrome://tracing or https://ui.perfetto.dev) and a compact terminal
-/// summary. For `sweep::isolated`, child-side events cross the pipe as
-/// kind-tagged frames (sweep/Checkpoint.h FrameKind) encoded by
+/// summary. For `sweep::pooled`, worker-side events cross the shm result
+/// arena as kind-tagged frames (sweep/Checkpoint.h FrameKind) encoded by
 /// encodeTrackChunk() and are stitched into the parent timeline with
 /// pid/slot attribution by adoptTrackChunk().
 ///
@@ -186,13 +186,13 @@ public:
   void renderSummary(std::ostream &OS) const;
 
   //===------------------------------------------------------------------===//
-  // Cross-process stitching (sweep::isolated)
+  // Cross-process stitching (sweep::pooled)
   //===------------------------------------------------------------------===//
 
   /// Appends \p Track's events since the last flush to \p Out as a
   /// self-contained chunk (strings inline, timestamps preserved) and
-  /// advances the track's flush cursor. Used by the forked child to
-  /// forward its recording over the result pipe.
+  /// advances the track's flush cursor. Used by a pool worker to
+  /// forward its recording through its result arena.
   static void encodeTrackChunk(std::vector<uint8_t> &Out,
                                TimelineTrack &Track);
 

@@ -112,15 +112,15 @@ struct DeploymentConfig {
   double FlakyInfraProb = 0.0; ///< Infra flake; the result is discarded.
   /// Process-LETHAL faults in the daily snapshot runs: the test does not
   /// merely fail, it takes its host process down (a wild write's SIGSEGV,
-  /// heap exhaustion's OOM kill — sweep::isolated's fault classes, seen
+  /// heap exhaustion's OOM kill — sweep::pooled's fault classes, seen
   /// from the simulator's altitude). Per covering-test per day, and like
   /// the three rates above the draws are consumed only when some lethal
   /// rate is positive — configs using only the non-lethal fault model
   /// reproduce their pre-lethal results bit-for-bit.
   ///
   /// What a lethal death COSTS depends on IsolateTestRuns: with
-  /// isolation (the sweep::isolated deployment), the dead process was a
-  /// fork-per-slot child, the loss is contained to that one run, and the
+  /// isolation (the sweep::pooled deployment), the dead process was a
+  /// sandboxed worker, the loss is contained to that one run, and the
   /// supervisor respawns for the next slot; without isolation the dying
   /// test takes the whole snapshot harness with it and the REMAINDER of
   /// that day's snapshot is lost — exactly the blast-radius difference

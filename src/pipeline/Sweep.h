@@ -47,7 +47,7 @@ struct SweepResult {
   std::map<uint64_t, Finding> Findings;
 
   /// Bit-for-bit equality, including every finding's sample report; the
-  /// sweep engines (trace::parallelSweep, sweep::adaptive) are specified
+  /// sweep engines (sweep::resilient, sweep::adaptive) are specified
   /// as indistinguishable from the serial sweep, and their parity tests
   /// compare through this.
   bool operator==(const SweepResult &) const = default;

@@ -91,7 +91,7 @@ struct RunOptions {
   /// bit-identical); fault injection reads it so attempt-gated faults
   /// (inject::FaultSpec::LethalAttempts) model transient crashers that
   /// recover on a retry. Executors that re-run a slot (sweep::resilient,
-  /// sweep::isolated) set it to the current attempt number.
+  /// sweep::pooled) set it to the current attempt number.
   uint32_t Attempt = 1;
   /// Guard against livelock: abort after this many scheduling steps.
   uint64_t MaxSteps = 2'000'000;
@@ -383,7 +383,7 @@ inline RunOptions withSeed(uint64_t Seed) {
 }
 
 /// Re-initializes this runtime's process-global state in a freshly forked
-/// child (sweep::isolated's sandbox children call this first): clears any
+/// child (sweep::pooled's workers call this first): clears any
 /// inherited active-runtime thread-locals and hard-watchdog latches and
 /// re-installs the SIGURG disposition so the child's own watchdog-armed
 /// runs behave exactly like a fresh process. Async-signal-safety is not

@@ -43,9 +43,9 @@ namespace support {
 /// fork(); close parent-only ends}. Without it, a child forked by a
 /// SIBLING thread mid-window inherits fds it will never close — the
 /// classic leak that keeps a pipe's write end alive after its owner died,
-/// so the reader never sees EOF/HUP. sweep::isolated and sweep::pooled
-/// share this lock so their children never leak each other's fds even if
-/// a host runs both concurrently.
+/// so the reader never sees EOF/HUP. Every forking executor (today
+/// sweep::pooled's hosts) takes this lock, so two hosts running
+/// concurrently never leak each other's fds into their workers.
 std::mutex &processForkMutex();
 
 //===----------------------------------------------------------------------===//

@@ -210,7 +210,14 @@ bool SweepService::start(std::string &Error) {
 
 void SweepService::drain() {
   Accepting.store(false);
-  StopRequested.store(true);
+  {
+    // Under Mu: the scheduler checks StopRequested and then blocks on Cv
+    // while holding Mu, so a store outside it can land between the check
+    // and the wait and lose this notify.
+    std::lock_guard<std::mutex> Lock(Mu);
+    StopRequested.store(true);
+  }
+  // After StopRequested: a cancelled job reads it to park, not fail.
   CancelCurrent.store(true);
   Cv.notify_all();
 }

@@ -535,14 +535,3 @@ AdaptiveOptions sweep::adaptiveFrom(const pipeline::SweepOptions &S,
   A.Threads = 1;
   return A;
 }
-
-AdaptiveOptions sweep::adaptiveFrom(const trace::ParallelSweepOptions &S,
-                                    Runner Body) {
-  AdaptiveOptions A;
-  A.FirstSeed = S.FirstSeed;
-  A.NumRuns = S.NumSeeds;
-  A.Run = S.Run;
-  A.Body = std::move(Body);
-  A.Threads = S.Threads;
-  return A;
-}

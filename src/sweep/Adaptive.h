@@ -50,7 +50,6 @@
 
 #include "obs/Metrics.h"
 #include "pipeline/Sweep.h"
-#include "trace/ParallelSweep.h"
 
 #include <cstdint>
 #include <functional>
@@ -204,11 +203,6 @@ AdaptiveResult adaptive(const AdaptiveOptions &Opts);
 /// Adaptive options over the same seed range/base options as a serial
 /// pipeline::sweep of \p S (Threads = 1).
 AdaptiveOptions adaptiveFrom(const pipeline::SweepOptions &S, Runner Body);
-
-/// Adaptive options over the same range/pool width as a
-/// trace::parallelSweep of \p S.
-AdaptiveOptions adaptiveFrom(const trace::ParallelSweepOptions &S,
-                             Runner Body);
 
 } // namespace sweep
 } // namespace grs

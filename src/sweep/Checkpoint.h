@@ -58,11 +58,11 @@ inline constexpr uint32_t CheckpointVersion = 1;
 enum class FaultClass : uint8_t {
   None = 0,         ///< Completed: the verdict below is the result.
   Watchdog,         ///< rt watchdog fired (soft or hard path) — or the
-                    ///< sweep::isolated supervisor killed a stalled child.
+                    ///< sweep::pooled supervisor killed a stalled worker.
   ForeignException, ///< A C++ exception crossed the fiber boundary.
   StepLimit,        ///< MaxSteps tripped (livelock / scheduler stall).
-  // Process-death classes (PR 5): only sweep::isolated produces these —
-  // they describe how a sandboxed child DIED, observed by the parent via
+  // Process-death classes: only sweep::pooled produces these — they
+  // describe how a sandboxed worker DIED, observed by the parent via
   // waitpid(). Appended (never reordered) so journals written before the
   // extension still decode.
   Signal,      ///< Child killed by a signal (SIGSEGV/SIGBUS/SIGABRT/...).
@@ -78,9 +78,9 @@ inline constexpr size_t NumFaultClasses = 8;
 /// Stable lower-case name of \p C (instrument label / diagnostics).
 const char *faultClassName(FaultClass C);
 
-/// Kind tags for the frames a sandboxed child streams back to its
-/// supervisor — over the per-batch pipe (sweep::isolated) or the
-/// per-worker shm arena ring (sweep::pooled). TRANSPORT PROTOCOL ONLY —
+/// Kind tags for the frames a sandboxed worker streams back to its
+/// supervisor over its shm arena ring (sweep::pooled). TRANSPORT
+/// PROTOCOL ONLY —
 /// the on-disk journal keeps its original kind-less `length, payload`
 /// record framing. A frame is `kind varint, length varint,
 /// payload[length]`; both ends are always the same binary, so the tag
@@ -102,8 +102,8 @@ void encodeFrame(std::vector<uint8_t> &Out, FrameKind Kind,
 /// stream simply ends with buffered() > 0 and the supervisor discards
 /// the tail, the atomic half of the salvage-or-discard contract.
 ///
-/// Shared by sweep::isolated (pipe) and sweep::pooled (arena) so the two
-/// transports cannot drift: one parser, one corruption policy.
+/// Used by sweep::pooled's supervisor on every worker arena: one parser,
+/// one corruption policy.
 class FrameParser {
 public:
   enum class Status {

@@ -7,7 +7,6 @@
 #include "obs/Timeline.h"
 #include "support/Shm.h"
 #include "sweep/Cgroup.h"
-#include "sweep/Isolated.h"
 
 #include <algorithm>
 #include <atomic>
@@ -399,6 +398,9 @@ struct PoolHost::Impl {
       if (!S.Alive)
         continue;
       int Status = 0;
+      // A woken worker exits within microseconds, and a one-shot pooled()
+      // sweep pays this wait on every call: poll fast first, then back off.
+      std::chrono::microseconds Nap(10);
       for (;;) {
         pid_t R = waitpid(S.Pid, &Status, WNOHANG);
         if (R == S.Pid || (R < 0 && errno != EINTR))
@@ -409,7 +411,8 @@ struct PoolHost::Impl {
             ;
           break;
         }
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        std::this_thread::sleep_for(Nap);
+        Nap = std::min(Nap * 2, std::chrono::microseconds(1000));
       }
       if (S.DoorR >= 0)
         close(S.DoorR);
@@ -519,17 +522,10 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
   Base.OnSlotDone = Req.OnSlotDone;
 
   //===--------------------------------------------------------------------===//
-  // Degradation rungs
+  // The pool rung, unless fork or shared memory is missing (or forced
+  // off); everything else takes the in-process rung below.
   //===--------------------------------------------------------------------===//
-  bool WantPool = !(I.Opts.ForceForkFree || !forkAvailable()) &&
-                  !(I.Opts.ForceNoShm || !support::shmAvailable());
-  bool RanRung = false;
-  if (I.Opts.ForceForkFree || !forkAvailable()) {
-    Result.Res = resilient(Base);
-    Stats.ForkFree = true;
-    Stats.Cancelled = Result.Res.UnfinishedSlots != 0;
-    RanRung = true;
-  }
+  bool WantPool = !I.Opts.ForceForkFree && pooledAvailable();
 
 #if GRS_HAVE_FORK
   if (WantPool) {
@@ -558,8 +554,8 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
     bool PoolReady = Pending.empty() || Cancelled ||
                      I.ensureCapacity(NeedEntries, NeedSpec);
     if (!PoolReady) {
-      // mmap refused at this size: same rung as no-shm, minus the
-      // probe. Abandon the journal handle first; isolated() reopens it.
+      // mmap refused at this size: take the in-process rung. Close the
+      // journal handle first; resilient() reopens it.
       Writer.close();
       WantPool = false;
     }
@@ -858,7 +854,7 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
           ++Live;
       if (Live == 0) {
         // Cannot fork at all right now: finish in-process rather than
-        // losing the sweep (mirrors isolated's fork-failure fallback).
+        // losing the sweep.
         for (uint64_t Slot : Pending) {
           if (Req.CancelFlag &&
               Req.CancelFlag->load(std::memory_order_relaxed)) {
@@ -1096,30 +1092,18 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
       for (uint64_t Slot : Pending)
         if (Done[Slot] && Slots[Slot].Attempts)
           Result.Res.Retries += Slots[Slot].Attempts - 1;
-      RanRung = true;
     }
   }
 #endif // GRS_HAVE_FORK
 
-  if (!RanRung) {
-    // Fork works but shared memory does not (or mmap refused): run the
-    // pipe-based executor. Same slot code, same merge, same journals.
-    IsolatedOptions IO;
-    IO.Base = Base;
-    IO.RlimitAsBytes = I.Opts.RlimitAsBytes;
-    IO.RlimitCpuSeconds = I.Opts.RlimitCpuSeconds;
-    IO.RlimitStackBytes = I.Opts.RlimitStackBytes;
-    IO.ChildStallMillis = I.Opts.WorkerStallMillis;
-    IsolatedResult IR = isolated(IO);
-    Result.Res = std::move(IR.Res);
-    Stats.FellBackToIsolated = true;
-    Stats.WorkerSpawns = IR.ChildSpawns;
-    Stats.Respawns = IR.Respawns;
-    Stats.SupervisorKills = IR.SupervisorKills;
-    Stats.TimelineChunks = IR.TimelineChunks;
-    Stats.ForkFree = IR.ForkFree;
-    for (size_t C = 0; C < NumFaultClasses; ++C)
-      Stats.DeathsByClass[C] = IR.DeathsByClass[C];
+  if (!WantPool) {
+    // The in-process rung: same slot code, same merge, same journal.
+    // Process-lethal injected faults downgrade to foreign exceptions
+    // here (inject::inSandbox), so the host survives with weaker
+    // containment.
+    Result.Res = resilient(Base);
+    Stats.ForkFree = true;
+    Stats.Cancelled = Result.Res.UnfinishedSlots != 0;
   }
 
   //===--------------------------------------------------------------------===//
@@ -1151,8 +1135,6 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
     obs::set(Reg->gauge("grs_pool_futex_signalled"),
              Stats.FutexSignalled ? 1.0 : 0.0);
     obs::set(Reg->gauge("grs_pool_fork_free"), Stats.ForkFree ? 1.0 : 0.0);
-    obs::set(Reg->gauge("grs_pool_fell_back_isolated"),
-             Stats.FellBackToIsolated ? 1.0 : 0.0);
     obs::set(Reg->gauge("grs_pool_recycles"),
              static_cast<double>(I.Host.Recycles));
   }
@@ -1164,23 +1146,8 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
 //===----------------------------------------------------------------------===//
 
 PoolResult sweep::pooled(const PoolOptions &Opts) {
-  PoolHostOptions H;
+  PoolHostOptions H = Opts.Host;
   H.Workers = Opts.Base.Threads;
-  H.ArenaBytes = Opts.ArenaBytes;
-  H.RlimitAsBytes = Opts.RlimitAsBytes;
-  H.RlimitCpuSeconds = Opts.RlimitCpuSeconds;
-  H.RlimitStackBytes = Opts.RlimitStackBytes;
-  H.WorkerStallMillis = Opts.WorkerStallMillis;
-  H.PoisonWorkerDeaths = Opts.PoisonWorkerDeaths;
-  H.RespawnBackoffMicros = Opts.RespawnBackoffMicros;
-  H.RespawnBackoffMaxMicros = Opts.RespawnBackoffMaxMicros;
-  H.EnableSeccomp = Opts.EnableSeccomp;
-  H.EnableLandlock = Opts.EnableLandlock;
-  H.DenyFileOpens = Opts.DenyFileOpens;
-  H.UseCgroupMemory = Opts.UseCgroupMemory;
-  H.ForceForkFree = Opts.ForceForkFree;
-  H.ForceNoShm = Opts.ForceNoShm;
-  H.ForceNoFutex = Opts.ForceNoFutex;
   // Single job: size the mapping to it exactly.
   H.RingEntries = 1;
   H.SpecArenaBytes = 8;

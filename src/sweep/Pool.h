@@ -8,10 +8,10 @@
 /// \file
 /// The fleet's fast containment layer: a pre-forked pool of sandboxed
 /// workers that OUTLIVE their slots — and, since the sweep service, their
-/// JOBS. sweep::isolated (PR 5) buys process containment at ~5x the
-/// in-process cost — a fork per batch, a pipe round-trip per record, and
-/// a whole-batch refork on every death. sweep::pooled keeps the
-/// containment and sheds the per-slot syscalls:
+/// JOBS. Forking a child per batch of slots buys process containment at
+/// ~5x the in-process cost — a fork per batch, a pipe round-trip per
+/// record, and a whole-batch refork on every death. sweep::pooled keeps
+/// the containment and sheds the per-slot syscalls:
 ///
 ///   - Workers are forked ONCE (lazily respawned on death) and pull slot
 ///     assignments from a shared-memory work ring: the parent publishes
@@ -21,7 +21,7 @@
 ///
 ///   - Results flow back through a per-worker shared-memory arena: the
 ///     worker appends kind-tagged checkpoint frames (SlotRecord +
-///     TimelineChunk, the same codec the isolated pipe uses) to a SPSC
+///     TimelineChunk, the same codec the journal uses) to a SPSC
 ///     byte ring and rings a one-byte pipe doorbell so the parent's
 ///     poll() wakes. The ring's Produced cursor is a COMMIT CURSOR:
 ///     advanced only over fully-written bytes, so whatever the parent
@@ -57,8 +57,8 @@
 ///   - Poison-slot containment: each worker death charges the victim
 ///     slot one process-level attempt from the SAME MaxAttempts budget
 ///     the in-process executor uses, so a slot that kills every worker
-///     it touches is quarantined after MaxAttempts deaths with the same
-///     record shape (and bytes) sweep::isolated would synthesize.
+///     it touches is quarantined after MaxAttempts deaths, with the same
+///     attempt counts the in-process rung records for the same plan.
 ///     PoisonWorkerDeaths tightens that to K consecutive deaths for
 ///     hosts that want faster containment than the attempt budget.
 ///
@@ -69,15 +69,15 @@
 ///     and a Resume re-run finishes the job bit-identically. This is
 ///     what the service's SIGTERM drain and job deadlines stand on.
 ///
-///   - Death classification is shared with sweep::isolated
-///     (classifyChildDeath): Watchdog (stall-killed by the supervisor),
-///     Signal, OomKill, Rlimit, PartialExit — byte-identical detail
-///     strings, so cross-executor journal comparisons hold even for
-///     quarantined slots.
+///   - Death classification is one function (classifyChildDeath,
+///     sweep/Sandbox.h): Watchdog (stall-killed by the supervisor),
+///     Signal, OomKill, Rlimit, PartialExit — one set of detail strings,
+///     so journal comparisons hold even for quarantined slots.
 ///
-///   - Graceful degradation: no fork (or ForceForkFree) -> the plain
-///     in-process resilient path; fork but no usable shared memory
-///     (or ForceNoShm) -> sweep::isolated, pipes and all; no futex ->
+///   - Graceful degradation: no fork, no usable shared memory, an mmap
+///     that refuses the job's mapping, or ForceForkFree -> the plain
+///     in-process resilient path, where process-lethal injected faults
+///     downgrade to foreign exceptions (inject::inSandbox); no futex ->
 ///     the pool runs with sleep-poll signalling. Every rung reaches
 ///     bit-identical sweep aggregates and quarantine decisions through
 ///     the unified attempt budget; only the containment strength and
@@ -142,10 +142,10 @@ struct PoolStats {
   bool CgroupMemory = false;
   /// True when pool signalling used futexes (false = sleep-poll rung).
   bool FutexSignalled = false;
-  /// True when the fork-free degradation path ran instead of a pool.
+  /// True when the in-process rung ran (sweep::resilient) instead of a
+  /// pool: no fork, no usable shared memory, mmap refused the job's
+  /// mapping, or ForceForkFree.
   bool ForkFree = false;
-  /// True when shm was unavailable and sweep::isolated ran instead.
-  bool FellBackToIsolated = false;
   /// True when CancelFlag ended the run before every slot resolved.
   bool Cancelled = false;
 
@@ -201,9 +201,12 @@ struct PoolHostOptions {
   /// arena still flow (the producer streams them in ring-sized pieces);
   /// a smaller arena only costs wakeups.
   uint64_t ArenaBytes = 256 << 10;
-  /// Worker rlimits, as in IsolatedOptions. RlimitAsBytes is skipped
-  /// when cgroup memory accounting is active (the cgroup bounds real
-  /// memory instead of address space).
+  /// Worker rlimits; 0 leaves a limit unset. RLIMIT_AS (bytes) turns a
+  /// runaway allocation into a clean exit(inject::OomExitCode), and is
+  /// skipped when cgroup memory accounting is active (the cgroup bounds
+  /// real memory instead of address space). RLIMIT_CPU (seconds) fires
+  /// SIGXCPU, classified Rlimit. RLIMIT_STACK (bytes) bounds only the
+  /// worker's main thread; fiber stacks are heap allocations.
   uint64_t RlimitAsBytes = 256ull << 20;
   uint64_t RlimitCpuSeconds = 0;
   uint64_t RlimitStackBytes = 0;
@@ -237,7 +240,6 @@ struct PoolHostOptions {
   bool UseCgroupMemory = false;
   /// Degradation forcing, for tests and hosts that know better:
   bool ForceForkFree = false; ///< skip straight to in-process resilient
-  bool ForceNoShm = false;    ///< pretend mmap failed -> isolated()
   bool ForceNoFutex = false;  ///< pool with sleep-poll signalling
 };
 
@@ -296,7 +298,7 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// One-shot wrapper (the PR-9 surface, unchanged semantics)
+// One-shot wrapper
 //===----------------------------------------------------------------------===//
 
 struct PoolOptions {
@@ -305,22 +307,11 @@ struct PoolOptions {
   /// path + resume, metrics registry. Base.Threads is the number of
   /// pool WORKERS (0 = hardware concurrency, clamped to pending slots).
   ResilientOptions Base;
-  /// Knobs as in PoolHostOptions.
-  uint64_t ArenaBytes = 256 << 10;
-  uint64_t RlimitAsBytes = 256ull << 20;
-  uint64_t RlimitCpuSeconds = 0;
-  uint64_t RlimitStackBytes = 0;
-  uint64_t WorkerStallMillis = 30'000;
-  uint32_t PoisonWorkerDeaths = 0;
-  uint64_t RespawnBackoffMicros = 1'000;
-  uint64_t RespawnBackoffMaxMicros = 500'000;
-  bool EnableSeccomp = false;
-  bool EnableLandlock = false;
-  bool DenyFileOpens = true;
-  bool UseCgroupMemory = false;
-  bool ForceForkFree = false;
-  bool ForceNoShm = false;
-  bool ForceNoFutex = false;
+  /// Pool knobs. pooled() ignores Host.Workers (it takes the worker
+  /// count from Base.Threads) and sets Resolve, RingEntries,
+  /// SpecArenaBytes and MaxJobs itself, sizing the mapping to the one
+  /// job; every other field applies as set.
+  PoolHostOptions Host;
 };
 
 /// True when this build/platform can run a real pool (fork + shared

@@ -319,14 +319,3 @@ ResilientOptions sweep::resilientFrom(const pipeline::SweepOptions &S,
   Opts.Body = std::move(Body);
   return Opts;
 }
-
-ResilientOptions sweep::resilientFrom(const trace::ParallelSweepOptions &S,
-                                      Runner Body) {
-  ResilientOptions Opts;
-  Opts.FirstSeed = S.FirstSeed;
-  Opts.NumSeeds = S.NumSeeds;
-  Opts.Threads = S.Threads;
-  Opts.Run = S.Run;
-  Opts.Body = std::move(Body);
-  return Opts;
-}

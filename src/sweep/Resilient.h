@@ -83,10 +83,10 @@ struct ResilientOptions {
   obs::Registry *Metrics = nullptr;
   /// Optional flight recorder (borrowed): each worker records slot spans
   /// with nested attempt spans plus retry/quarantine instants on its own
-  /// "resilient-worker-<i>" track. Under sweep::isolated the SAME spans
-  /// are recorded child-side and stitched back over the pipe, so forked
-  /// and fork-free timelines agree on slot spans. Never perturbs runs,
-  /// retry trajectories, or checkpoint journals.
+  /// "resilient-worker-<i>" track. Under sweep::pooled the SAME spans
+  /// are recorded worker-side and stitched back through the shm arena,
+  /// so forked and fork-free timelines agree on slot spans. Never
+  /// perturbs runs, retry trajectories, or checkpoint journals.
   obs::Timeline *Timeline = nullptr;
   /// Journal path; empty disables checkpointing.
   std::string CheckpointPath;
@@ -147,27 +147,28 @@ uint64_t resilientOptionsHash(const ResilientOptions &Opts);
 ResilientResult resilient(const ResilientOptions &Opts);
 
 //===----------------------------------------------------------------------===//
-// Building blocks shared with sweep::isolated
+// Building blocks shared with sweep::pooled
 //
-// The fork-per-slot executor (sweep/Isolated.h) runs the SAME slot code
-// inside its sandboxed children and the SAME merge on the parent side, so
-// parallel == serial == fork-free stays bit-for-bit by construction
-// rather than by reimplementation.
+// The fork-server pool (sweep/Pool.h) runs the SAME slot code inside its
+// sandboxed workers and the SAME merge on the parent side, so parallel ==
+// serial == fork-free stays bit-for-bit by construction rather than by
+// reimplementation.
 //===----------------------------------------------------------------------===//
 
 /// Infra-fault classification of one in-process run. Watchdog beats
 /// foreign exception beats step limit when several fired in one run (a
 /// spinning goroutine can also have left an exception behind). Process
 /// deaths (Signal/OomKill/Rlimit/PartialExit) are classified by the
-/// isolated supervisor from waitpid(), never from a RunResult.
+/// pool supervisor from waitpid(), never from a RunResult.
 FaultClass classifyRunFault(const rt::RunResult &Run);
 
 /// Executes one slot of \p Opts: runs seed FirstSeed + Slot, retrying
 /// in-process infra faults up to Opts.MaxAttempts with backoff, then
 /// quarantines. \p FirstAttempt numbers the first try (RunOptions::
-/// Attempt); a respawned sandbox child passes the process-level attempt
-/// so the per-slot attempt budget is unified across process boundaries
-/// (in-process retries and respawns draw from the same MaxAttempts).
+/// Attempt); a pool worker retrying a slot after a death passes the
+/// process-level attempt so the per-slot attempt budget is unified
+/// across process boundaries (in-process retries and respawns draw from
+/// the same MaxAttempts).
 /// \p Track, when set, receives the slot's flight-recorder spans (slot /
 /// attempt / retry / quarantine). Thread-safe: touches nothing shared
 /// (each track has one producer).
@@ -181,7 +182,7 @@ SlotRecord runResilientSlot(const ResilientOptions &Opts, uint64_t Slot,
 void mergeSlotRecords(const std::vector<SlotRecord> &Slots,
                       ResilientResult &Result);
 
-/// Checkpoint setup shared by resilient() and isolated(): when
+/// Checkpoint setup shared by resilient() and PoolHost::run(): when
 /// Opts.CheckpointPath is set, loads a resumable journal (filling
 /// \p Slots / \p Done for each complete record and counting
 /// Result.ResumedSlots) and leaves \p Writer open for appends — or
@@ -202,10 +203,6 @@ void openResilientCheckpoint(const ResilientOptions &Opts,
 
 /// Hardened form of a serial pipeline::sweep of \p S (Threads = 1).
 ResilientOptions resilientFrom(const pipeline::SweepOptions &S, Runner Body);
-
-/// Hardened form of a trace::parallelSweep of \p S (same pool width).
-ResilientOptions resilientFrom(const trace::ParallelSweepOptions &S,
-                               Runner Body);
 
 /// Hardened form of an adaptive sweep's explore prefix is NOT provided:
 /// sweep::adaptive hardens itself (AdaptiveOptions::MaxAttempts).

@@ -8,13 +8,12 @@
 /// \file
 /// What a sandboxed sweep child may do, and what its death means.
 ///
-/// Two exports shared by the forking executors (sweep/Isolated.h,
-/// sweep/Pool.h):
+/// Two exports used by the forking executor (sweep/Pool.h):
 ///
 /// 1. classifyChildDeath(): the waitpid()-status -> FaultClass taxonomy.
 ///    One function, one set of detail strings — a chronic fault must
-///    quarantine with the SAME record bytes whichever executor contained
-///    it, or the cross-executor journal bit-identity invariant breaks.
+///    quarantine with the SAME record bytes whichever worker contained
+///    it, or journal bit-identity across pool sizes breaks.
 ///
 /// 2. The tiered syscall sandbox applied INSIDE a worker after
 ///    inject::enterSandbox() and the rlimits. Tiers stack, each opt-in
@@ -54,7 +53,7 @@ namespace grs {
 namespace sweep {
 
 //===----------------------------------------------------------------------===//
-// Death taxonomy (shared by isolated and pooled supervision)
+// Death taxonomy (pool supervision)
 //===----------------------------------------------------------------------===//
 
 /// How a sandboxed child ended, mapped into the checkpoint FaultClass

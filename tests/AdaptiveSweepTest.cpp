@@ -121,21 +121,6 @@ TEST(AdaptiveDeterminism, RepeatInvariance) {
   EXPECT_EQ(First, Second);
 }
 
-TEST(AdaptiveDeterminism, ParallelSweepOptionsPlugInMatchesSerial) {
-  const corpus::ScheduleDep *Dep = corpus::findScheduleDep("stalled-worker");
-  ASSERT_NE(Dep, nullptr);
-  trace::ParallelSweepOptions PS;
-  PS.FirstSeed = 11;
-  PS.NumSeeds = 40;
-  PS.Threads = 4;
-  AdaptiveOptions FromParallel = adaptiveFrom(PS, Dep->Run);
-  EXPECT_EQ(FromParallel.Threads, 4u);
-  FromParallel.PlannerSeed = 5;
-  AdaptiveOptions SerialOpts = FromParallel;
-  SerialOpts.Threads = 1;
-  EXPECT_EQ(adaptive(FromParallel), adaptive(SerialOpts));
-}
-
 TEST(AdaptiveDeterminism, BudgetBookkeepingAddsUp) {
   const corpus::ScheduleDep *Dep = corpus::findScheduleDep("window-needle");
   ASSERT_NE(Dep, nullptr);

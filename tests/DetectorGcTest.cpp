@@ -35,7 +35,7 @@
 #include "rt/Instr.h"
 #include "rt/Runtime.h"
 #include "rt/Sync.h"
-#include "trace/ParallelSweep.h"
+#include "sweep/Resilient.h"
 
 #include <gtest/gtest.h>
 
@@ -176,12 +176,13 @@ TEST(GcDifferential, EveryGrsPortSerialAndParallel) {
     // Executor matrix: the parallel sweep is specified indistinguishable
     // from the serial one, and that must keep holding with GC enabled.
     for (unsigned Threads : {1u, 2u, 8u}) {
-      trace::ParallelSweepOptions Par;
-      Par.NumSeeds = On.NumSeeds;
+      sweep::ResilientOptions Par =
+          sweep::resilientFrom(On, lang::runner(Parsed.Prog));
       Par.Threads = Threads;
-      Par.Run = On.Run;
-      EXPECT_EQ(Base, trace::parallelSweep(Par, lang::body(Parsed.Prog)))
-          << Port.Id << " threads=" << Threads;
+      Par.MaxAttempts = 1;
+      sweep::ResilientResult R = sweep::resilient(Par);
+      EXPECT_TRUE(R.Quarantined.empty()) << Port.Id << " threads=" << Threads;
+      EXPECT_EQ(Base, R.Sweep) << Port.Id << " threads=" << Threads;
     }
   }
 }

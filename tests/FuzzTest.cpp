@@ -28,7 +28,6 @@
 #include "rt/Sync.h"
 #include "support/Rng.h"
 #include "sweep/Adaptive.h"
-#include "sweep/Isolated.h"
 #include "sweep/Pool.h"
 #include "sweep/Resilient.h"
 
@@ -520,135 +519,14 @@ TEST_P(ChaosFuzz, RandomFaultPlansNeverCorruptTheSweep) {
 INSTANTIATE_TEST_SUITE_P(Plans, ChaosFuzz, ::testing::Range<uint64_t>(1, 4));
 
 //===----------------------------------------------------------------------===//
-// Lethal chaos fuzzing (PR-5): random fault plans drawn from the
-// PROCESS-LETHAL kinds (plus GoPanic for in-process contrast) against the
-// fork-per-slot sandbox. The properties under test are the isolation
-// layer's acceptance criteria: child deaths never lose a slot record, the
-// unified attempt budget makes the forked and fork-free (downgrade) paths
-// agree on every quarantine decision, and every slot the plan did not
-// touch is bit-identical to the fault-free sweep's record.
-//===----------------------------------------------------------------------===//
-
-class LethalChaosFuzz : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(LethalChaosFuzz, RandomLethalPlansAreContainedByIsolation) {
-  if (!sweep::forkAvailable())
-    GTEST_SKIP() << "no fork() on this platform";
-  ProgramShape S = makeShape(GetParam() * 211, /*Bugged=*/true);
-  const uint64_t NumSeeds = 12;
-
-  inject::FaultPlanOptions PO;
-  PO.PlanSeed = GetParam() * 29 + 7;
-  PO.FirstSeed = 1;
-  PO.NumSeeds = NumSeeds;
-  PO.FaultRate = 0.35;
-  PO.LethalChronicFraction = 0.3;
-  // GoPanic plus the four lethal kinds; the stall/spin kinds are disabled
-  // because each would cost a full watchdog budget of wall clock.
-  for (size_t K = 0; K < inject::NumFaultKinds; ++K) {
-    auto Kind = static_cast<inject::FaultKind>(K);
-    PO.Weights[K] = (Kind == inject::FaultKind::GoPanic ||
-                     inject::isLethalFault(Kind))
-                        ? 1.0
-                        : 0.0;
-  }
-  inject::FaultPlan Plan = inject::makeFaultPlan(PO);
-
-  sweep::IsolatedOptions IO;
-  IO.Base.FirstSeed = PO.FirstSeed;
-  IO.Base.NumSeeds = NumSeeds;
-  IO.Base.Threads = 2;
-  IO.Base.MaxAttempts = 2;
-  IO.Base.RetryBackoffMicros = 0;
-  IO.Base.Run.MaxSteps = 20000;
-  IO.Base.Body = inject::instrumentedRunner(makeBody(S), Plan);
-  IO.SlotsPerChild = 3;
-  // Roomy: the child inherits the gtest parent's address space, and only
-  // HeapExhaustion should be able to hit the cap (see IsolationTest).
-  IO.RlimitAsBytes = 768ull << 20;
-  std::string Journal = ::testing::TempDir() + "grs-lethal-chaos-" +
-                        std::to_string(GetParam()) + ".ckpt";
-  std::remove(Journal.c_str());
-  IO.Base.CheckpointPath = Journal;
-  sweep::IsolatedResult Forked = sweep::isolated(IO);
-  ASSERT_TRUE(Forked.Res.CheckpointError.empty())
-      << Forked.Res.CheckpointError;
-  EXPECT_FALSE(Forked.ForkFree);
-
-  // No lost slot records: despite child deaths, the journal covers every
-  // slot exactly once.
-  sweep::CheckpointLoad Load;
-  std::string Error;
-  ASSERT_TRUE(sweep::loadCheckpoint(Journal, Load, Error)) << Error;
-  std::set<uint64_t> Slots;
-  for (const sweep::SlotRecord &R : Load.Records) {
-    EXPECT_LT(R.Slot, NumSeeds);
-    EXPECT_TRUE(Slots.insert(R.Slot).second)
-        << "slot " << R.Slot << " journaled twice";
-  }
-  EXPECT_EQ(Slots.size(), NumSeeds);
-
-  // Unified attempt budget: the fork-free downgrade path must reach the
-  // same quarantine decisions (same seeds, same attempt counts) and the
-  // same merged sweep, even though its lethal faults become in-process
-  // throws instead of process deaths.
-  sweep::IsolatedOptions FF = IO;
-  FF.ForceForkFree = true;
-  FF.Base.CheckpointPath.clear();
-  sweep::IsolatedResult Degraded = sweep::isolated(FF);
-  EXPECT_TRUE(Degraded.ForkFree);
-  EXPECT_EQ(Degraded.ChildSpawns, 0u);
-  EXPECT_EQ(Degraded.Res.Sweep, Forked.Res.Sweep);
-  EXPECT_EQ(Degraded.Res.Retries, Forked.Res.Retries);
-  auto QuarantineMap = [](const sweep::ResilientResult &R) {
-    std::map<uint64_t, uint32_t> M;
-    for (const sweep::SlotRecord &Q : R.Quarantined)
-      M[Q.Seed] = Q.Attempts;
-    return M;
-  };
-  EXPECT_EQ(QuarantineMap(Forked.Res), QuarantineMap(Degraded.Res))
-      << "plan " << GetParam()
-      << ": forked vs fork-free quarantines diverged";
-
-  // Verdict parity: every slot the plan did not touch is bit-identical
-  // to the fault-free sweep's record.
-  sweep::ResilientOptions Clean = IO.Base;
-  Clean.Threads = 1;
-  Clean.Body = corpus::hostBody(makeBody(S));
-  std::remove(Journal.c_str());
-  Clean.CheckpointPath = Journal;
-  sweep::ResilientResult CleanResult = sweep::resilient(Clean);
-  ASSERT_TRUE(CleanResult.CheckpointError.empty())
-      << CleanResult.CheckpointError;
-  sweep::CheckpointLoad CleanLoad;
-  ASSERT_TRUE(sweep::loadCheckpoint(Journal, CleanLoad, Error)) << Error;
-  std::map<uint64_t, sweep::SlotRecord> Faulted;
-  for (const sweep::SlotRecord &R : Load.Records)
-    Faulted[R.Slot] = R;
-  size_t Compared = 0;
-  for (const sweep::SlotRecord &CleanRec : CleanLoad.Records) {
-    if (Plan.faulted(CleanRec.Seed))
-      continue;
-    ASSERT_TRUE(Faulted.count(CleanRec.Slot));
-    EXPECT_EQ(Faulted[CleanRec.Slot], CleanRec)
-        << "plan " << GetParam() << " slot " << CleanRec.Slot;
-    ++Compared;
-  }
-  EXPECT_GT(Compared, 0u);
-  std::remove(Journal.c_str());
-}
-
-INSTANTIATE_TEST_SUITE_P(Plans, LethalChaosFuzz,
-                         ::testing::Range<uint64_t>(1, 3));
-
-//===----------------------------------------------------------------------===//
-// Pool chaos fuzzing (PR-9): the same lethal plan generator, pointed at
-// the persistent worker pool. The pool's acceptance criteria extend the
-// isolation layer's: worker deaths never lose a slot record even though
-// results travel through shared-memory rings with commit-cursor salvage
-// instead of one pipe per batch, the unified attempt budget keeps pooled
-// quarantine decisions identical to the fork-free downgrade's, and the
-// untouched slots stay bit-identical to the fault-free sweep. Tiny
+// Pool chaos fuzzing: random fault plans drawn from the PROCESS-LETHAL
+// kinds (plus GoPanic for in-process contrast), pointed at the persistent
+// worker pool. The properties are the containment layer's acceptance
+// criteria: worker deaths never lose a slot record even though results
+// travel through shared-memory rings with commit-cursor salvage, the
+// unified attempt budget keeps pooled quarantine decisions identical to
+// the fork-free downgrade's, and the untouched slots stay bit-identical
+// to the fault-free sweep. Tiny
 // arenas on half the plans force ring wraparound and mid-stream worker
 // deaths, so the salvage path runs under fire, not just in unit tests.
 //===----------------------------------------------------------------------===//
@@ -684,14 +562,14 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
   Pool.Base.RetryBackoffMicros = 0;
   Pool.Base.Run.MaxSteps = 20000;
   Pool.Base.Body = inject::instrumentedRunner(makeBody(S), Plan);
-  Pool.RespawnBackoffMicros = 0; // deaths are the point; don't wait
+  Pool.Host.RespawnBackoffMicros = 0; // deaths are the point; don't wait
   // Roomy: workers inherit the gtest parent's address space, and only
-  // HeapExhaustion should be able to hit the cap (see IsolationTest).
-  Pool.RlimitAsBytes = 768ull << 20;
+  // HeapExhaustion should be able to hit the cap (see PoolTest).
+  Pool.Host.RlimitAsBytes = 768ull << 20;
   // Odd plans squeeze the arena so every worker's ring wraps and deaths
   // land mid-stream; even plans run the comfortable default.
   if (GetParam() % 2)
-    Pool.ArenaBytes = 256;
+    Pool.Host.ArenaBytes = 256;
   std::string Journal = ::testing::TempDir() + "grs-pool-chaos-" +
                         std::to_string(GetParam()) + ".ckpt";
   std::remove(Journal.c_str());
@@ -700,7 +578,6 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
   ASSERT_TRUE(Pooled.Res.CheckpointError.empty())
       << Pooled.Res.CheckpointError;
   EXPECT_FALSE(Pooled.Stats.ForkFree);
-  EXPECT_FALSE(Pooled.Stats.FellBackToIsolated);
 
   // No lost slot records: despite worker deaths and ring salvage, the
   // journal covers every slot exactly once.
@@ -718,7 +595,7 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
   // Unified attempt budget: the fork-free downgrade reaches the same
   // quarantine decisions, merged sweep, and retry totals.
   sweep::PoolOptions FF = Pool;
-  FF.ForceForkFree = true;
+  FF.Host.ForceForkFree = true;
   FF.Base.CheckpointPath.clear();
   sweep::PoolResult Degraded = sweep::pooled(FF);
   EXPECT_TRUE(Degraded.Stats.ForkFree);

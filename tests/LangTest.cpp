@@ -26,7 +26,7 @@
 #include "lang/Ports.h"
 #include "pipeline/Sweep.h"
 #include "rt/Runtime.h"
-#include "trace/ParallelSweep.h"
+#include "sweep/Resilient.h"
 
 #include <gtest/gtest.h>
 
@@ -485,12 +485,13 @@ TEST(LangParity, SerialAndParallelExecutorsAreBitIdentical) {
     pipeline::SweepResult Serial =
         pipeline::sweep(SOpts, lang::body(Parsed.Prog));
     for (unsigned Threads : {1u, 2u, 8u}) {
-      trace::ParallelSweepOptions POpts;
-      POpts.NumSeeds = ParitySeeds;
+      sweep::ResilientOptions POpts =
+          sweep::resilientFrom(SOpts, lang::runner(Parsed.Prog));
       POpts.Threads = Threads;
-      pipeline::SweepResult Par =
-          trace::parallelSweep(POpts, lang::body(Parsed.Prog));
-      EXPECT_TRUE(Par == Serial) << Threads << " threads";
+      POpts.MaxAttempts = 1;
+      sweep::ResilientResult Par = sweep::resilient(POpts);
+      EXPECT_TRUE(Par.Quarantined.empty()) << Threads << " threads";
+      EXPECT_TRUE(Par.Sweep == Serial) << Threads << " threads";
     }
   }
 }

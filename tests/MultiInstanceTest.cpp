@@ -3,8 +3,8 @@
 // Part of the gorace-study project: a C++ reproduction of "A Study of
 // Real-World Data Races in Golang" (PLDI 2022).
 //
-// The parallel sweep engine (trace/ParallelSweep.h) hosts one Runtime +
-// Detector per OS thread concurrently. That is only sound if those
+// The parallel sweep executor (sweep::resilient with Threads > 1) hosts
+// one Runtime + Detector per OS thread concurrently. That is only sound if those
 // components keep no shared mutable state: the runtime's only global is
 // the thread_local ActiveRuntime pointer, and the detector is fully
 // instance-owned. These tests are the regression net for that audit —
@@ -12,14 +12,13 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "trace/ParallelSweep.h"
-
 #include "corpus/Patterns.h"
 #include "pipeline/Fingerprint.h"
 #include "pipeline/Sweep.h"
 #include "rt/Channel.h"
 #include "rt/Instr.h"
 #include "rt/Sync.h"
+#include "sweep/Resilient.h"
 
 #include <gtest/gtest.h>
 
@@ -153,33 +152,28 @@ void sweptBody() {
   Wg.wait();
 }
 
+/// sweptBody over \p NumSeeds seeds on \p Threads workers, one attempt
+/// per seed: the plain parallel sweep, with no retry to hide a fault.
+sweep::ResilientResult sweepOnThreads(uint64_t NumSeeds, unsigned Threads) {
+  sweep::ResilientOptions Opts;
+  Opts.NumSeeds = NumSeeds;
+  Opts.Threads = Threads;
+  Opts.MaxAttempts = 1;
+  Opts.Body = corpus::hostBody(sweptBody);
+  return sweep::resilient(Opts);
+}
+
 TEST(MultiInstance, ParallelSweepMatchesSerialSweep) {
   pipeline::SweepOptions SerialOpts;
   SerialOpts.NumSeeds = 64;
   pipeline::SweepResult Serial = pipeline::sweep(SerialOpts, sweptBody);
 
-  trace::ParallelSweepOptions ParOpts;
-  ParOpts.NumSeeds = 64;
-  ParOpts.Threads = 4;
-  pipeline::SweepResult Parallel = trace::parallelSweep(ParOpts, sweptBody);
-
-  EXPECT_EQ(Parallel.SeedsRun, Serial.SeedsRun);
-  EXPECT_EQ(Parallel.SeedsWithRaces, Serial.SeedsWithRaces);
-  EXPECT_EQ(Parallel.SeedsWithLeaks, Serial.SeedsWithLeaks);
-  EXPECT_EQ(Parallel.SeedsWithPanics, Serial.SeedsWithPanics);
-  EXPECT_EQ(Parallel.SeedsDeadlocked, Serial.SeedsDeadlocked);
-  EXPECT_EQ(Parallel.TotalReports, Serial.TotalReports);
-
-  // Findings agree key-by-key, including the deterministic sample choice
-  // (lowest reporting seed), so the parallel engine is a drop-in.
-  ASSERT_EQ(Parallel.Findings.size(), Serial.Findings.size());
-  auto ItP = Parallel.Findings.begin();
-  for (const auto &KV : Serial.Findings) {
-    EXPECT_EQ(ItP->first, KV.first);
-    EXPECT_EQ(ItP->second.Occurrences, KV.second.Occurrences);
-    EXPECT_EQ(ItP->second.SampleReport, KV.second.SampleReport);
-    ++ItP;
-  }
+  // Counters and findings agree key by key, including the deterministic
+  // sample choice (lowest reporting seed), so the parallel executor is a
+  // drop-in.
+  sweep::ResilientResult Parallel = sweepOnThreads(64, 4);
+  EXPECT_TRUE(Parallel.Quarantined.empty());
+  EXPECT_EQ(Parallel.Sweep, Serial);
 
   // The body is genuinely schedule-dependent — the sweep exists because
   // single runs miss races (§3.1).
@@ -188,17 +182,11 @@ TEST(MultiInstance, ParallelSweepMatchesSerialSweep) {
 }
 
 TEST(MultiInstance, ParallelSweepThreadCountDoesNotChangeResults) {
-  pipeline::SweepResult One = trace::parallelSweep(32, 1, sweptBody);
-  pipeline::SweepResult Eight = trace::parallelSweep(32, 8, sweptBody);
-  EXPECT_EQ(One.TotalReports, Eight.TotalReports);
-  EXPECT_EQ(One.SeedsWithRaces, Eight.SeedsWithRaces);
-  ASSERT_EQ(One.Findings.size(), Eight.Findings.size());
-  auto ItE = Eight.Findings.begin();
-  for (const auto &KV : One.Findings) {
-    EXPECT_EQ(ItE->first, KV.first);
-    EXPECT_EQ(ItE->second.Occurrences, KV.second.Occurrences);
-    ++ItE;
-  }
+  sweep::ResilientResult One = sweepOnThreads(32, 1);
+  sweep::ResilientResult Eight = sweepOnThreads(32, 8);
+  EXPECT_TRUE(One.Quarantined.empty());
+  EXPECT_TRUE(Eight.Quarantined.empty());
+  EXPECT_EQ(One.Sweep, Eight.Sweep);
 }
 
 } // namespace

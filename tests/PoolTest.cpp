@@ -6,19 +6,20 @@
 // The containment battery for the POOLED robustness layer (sweep::pooled).
 // Workers outlive their slots, assignments flow through a shared-memory
 // work ring, and results come back through per-worker shm arenas with a
-// commit cursor — so this file must pin everything IsolationTest pins for
-// the fork-per-batch executor PLUS the properties the pool adds:
+// commit cursor. This file pins:
 //
 //  * PARITY — fault-free sweeps agree bit-for-bit across {pipeline::sweep,
 //    resilient, pooled serial, pooled parallel} and every degradation rung
-//    (ForceForkFree, ForceNoShm -> isolated, ForceNoFutex -> sleep-poll);
+//    (ForceForkFree -> in-process resilient, ForceNoFutex -> sleep-poll);
 //  * TRANSPORT — the shm byte ring round-trips frames across wraparound,
 //    and the frame parser salvages the intact prefix of an interrupted
 //    stream while discarding the partial tail (crash-mid-commit);
-//  * POISON CONTAINMENT — a slot that kills every worker it touches is
-//    quarantined on the unified attempt budget with the same seed set and
-//    attempt counts the fork-free downgrade records, and is counted as a
-//    poison slot; PoisonWorkerDeaths=K quarantines early;
+//  * CONTAINMENT — worker deaths classify by cause, never lose a record,
+//    and never re-execute a slot whose record was delivered; a slot that
+//    kills every worker it touches is quarantined on the unified attempt
+//    budget with the same seed set and attempt counts the fork-free
+//    downgrade records, and is counted as a poison slot;
+//    PoisonWorkerDeaths=K quarantines early; a stalled worker is killed;
 //  * BACKOFF — a chronic crash storm stretches respawns by the documented
 //    exponential trajectory instead of fork-bombing the parent;
 //  * SANDBOX/CGROUP — the opt-in seccomp/landlock tiers and cgroup memory
@@ -36,7 +37,6 @@
 #include "rt/Instr.h"
 #include "support/Shm.h"
 #include "sweep/Cgroup.h"
-#include "sweep/Isolated.h"
 #include "sweep/Pool.h"
 
 #include <gtest/gtest.h>
@@ -89,14 +89,13 @@ sweep::PoolOptions baseOptions(sweep::Runner Body, uint64_t NumSeeds) {
   PO.Base.Threads = 2;
   // No backoff by default: containment tests want the deaths, not the
   // waits. The backoff test opts back in.
-  PO.RespawnBackoffMicros = 0;
+  PO.Host.RespawnBackoffMicros = 0;
   return PO;
 }
 
-/// The hand-built lethal plan shared with IsolationTest: exact kinds and
-/// chronicity per seed, no RNG. Chronic seeds 3 (AbortCall), 6 (WildWrite),
-/// 9 (StackOverflow), 12 (HeapExhaustion); transient seed 15 (AbortCall,
-/// dies once).
+/// A hand-built lethal plan: exact kinds and chronicity per seed, no RNG.
+/// Chronic seeds 3 (AbortCall), 6 (WildWrite), 9 (StackOverflow), 12
+/// (HeapExhaustion); transient seed 15 (AbortCall, dies once).
 inject::FaultPlan lethalPlan() {
   inject::FaultPlan Plan;
   auto Chronic = [](inject::FaultKind Kind) {
@@ -122,7 +121,7 @@ sweep::PoolOptions lethalOptions(const inject::FaultPlan &Plan) {
   // Generous address-space cap: the gtest parent's inherited mappings
   // plus the worker's own working set must fit UNDER it, so only the
   // HeapExhaustion saboteur's deliberate allocation storm hits it.
-  PO.RlimitAsBytes = 768ull << 20;
+  PO.Host.RlimitAsBytes = 768ull << 20;
   return PO;
 }
 
@@ -284,7 +283,6 @@ TEST(Pool, FaultFreeParityAcrossExecutorsAndRungs) {
   sweep::PoolResult SR = sweep::pooled(Serial);
   EXPECT_EQ(SR.Res, InProcess) << "single-worker pool diverged";
   EXPECT_FALSE(SR.Stats.ForkFree);
-  EXPECT_FALSE(SR.Stats.FellBackToIsolated);
   EXPECT_EQ(SR.Stats.WorkerSpawns, 1u);
   EXPECT_EQ(SR.Stats.deaths(), 0u) << "a fault-free sweep kills no worker";
   EXPECT_EQ(SR.Stats.Respawns, 0u);
@@ -297,20 +295,13 @@ TEST(Pool, FaultFreeParityAcrossExecutorsAndRungs) {
   EXPECT_EQ(PR.Stats.WorkerSpawns, 4u);
 
   sweep::PoolOptions NoFutex = PO;
-  NoFutex.ForceNoFutex = true;
+  NoFutex.Host.ForceNoFutex = true;
   sweep::PoolResult NF = sweep::pooled(NoFutex);
   EXPECT_EQ(NF.Res, InProcess) << "sleep-poll rung diverged";
   EXPECT_FALSE(NF.Stats.FutexSignalled);
 
-  sweep::PoolOptions NoShm = PO;
-  NoShm.ForceNoShm = true;
-  sweep::PoolResult NS = sweep::pooled(NoShm);
-  EXPECT_EQ(NS.Res, InProcess) << "isolated fallback rung diverged";
-  EXPECT_TRUE(NS.Stats.FellBackToIsolated);
-  EXPECT_FALSE(NS.Stats.ForkFree);
-
   sweep::PoolOptions ForkFree = PO;
-  ForkFree.ForceForkFree = true;
+  ForkFree.Host.ForceForkFree = true;
   sweep::PoolResult FF = sweep::pooled(ForkFree);
   EXPECT_EQ(FF.Res, InProcess) << "fork-free rung diverged";
   EXPECT_TRUE(FF.Stats.ForkFree);
@@ -323,7 +314,7 @@ TEST(Pool, TinyArenaWrapsAndStaysBitIdentical) {
   // merged result is still byte-for-byte the in-process one.
   sweep::PoolOptions PO = baseOptions(corpus::hostBody(racyBody), 24);
   sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
-  PO.ArenaBytes = 512;
+  PO.Host.ArenaBytes = 512;
   sweep::PoolResult R = sweep::pooled(PO);
   EXPECT_EQ(R.Res, InProcess);
   EXPECT_GT(R.Stats.ArenaBytesReceived, 512u) << "the ring must have wrapped";
@@ -365,7 +356,7 @@ TEST(Pool, StitchedTimelineMatchesForkFreeSlotSpans) {
       << "workers must forward their tracks through the arena";
 
   sweep::PoolOptions FFO = PO;
-  FFO.ForceForkFree = true;
+  FFO.Host.ForceForkFree = true;
   obs::Timeline ForkFree(/*Enabled=*/true);
   FFO.Base.Timeline = &ForkFree;
   sweep::PoolResult FFR = sweep::pooled(FFO);
@@ -477,7 +468,7 @@ TEST(Pool, CrashMidCommitSalvagesThroughATinyArena) {
   // quarantine decisions.
   inject::FaultPlan Plan = lethalPlan();
   sweep::PoolOptions PO = lethalOptions(Plan);
-  PO.ArenaBytes = 256;
+  PO.Host.ArenaBytes = 256;
   std::string Journal = tempPath("salvage.ckpt");
   std::remove(Journal.c_str());
   PO.Base.CheckpointPath = Journal;
@@ -499,15 +490,15 @@ TEST(Pool, AttemptBudgetUnifiedWithForkFreeDowngrade) {
   sweep::PoolResult Pooled = sweep::pooled(PO);
 
   sweep::PoolOptions FF = PO;
-  FF.ForceForkFree = true;
+  FF.Host.ForceForkFree = true;
   sweep::PoolResult Downgraded = sweep::pooled(FF);
   ASSERT_TRUE(Downgraded.Stats.ForkFree);
 
   // Same quarantined seeds, same attempt counts, same retry totals —
   // the process-level attempt numbering unifies the budget across the
-  // pool, the fork-per-batch executor, and the fork-free downgrade.
-  // Only the fault TAXONOMY differs (waitpid classes vs the documented
-  // foreign exception).
+  // pool and the fork-free downgrade. Only the fault TAXONOMY differs: a
+  // real death classifies from waitpid(), the downgrade surfaces as the
+  // documented foreign exception.
   auto Seeds = [](const sweep::ResilientResult &R) {
     std::map<uint64_t, uint32_t> S;
     for (const sweep::SlotRecord &Q : R.Quarantined)
@@ -518,17 +509,12 @@ TEST(Pool, AttemptBudgetUnifiedWithForkFreeDowngrade) {
   EXPECT_EQ(Pooled.Res.Retries, Downgraded.Res.Retries);
   EXPECT_EQ(Pooled.Res.Sweep, Downgraded.Res.Sweep)
       << "surviving slots must aggregate identically";
-
-  // And against the fork-per-batch executor, with the SAME taxonomy:
-  // quarantine records agree byte for byte.
-  sweep::IsolatedOptions IO;
-  IO.Base = PO.Base;
-  IO.RlimitAsBytes = PO.RlimitAsBytes;
-  sweep::IsolatedResult Isolated = sweep::isolated(IO);
-  ASSERT_FALSE(Isolated.ForkFree);
-  EXPECT_EQ(Pooled.Res, Isolated.Res)
-      << "pooled and isolated must reach bit-identical results, "
-         "quarantine records included";
+  for (const sweep::SlotRecord &Q : Downgraded.Res.Quarantined) {
+    EXPECT_EQ(Q.Fault, sweep::FaultClass::ForeignException);
+    EXPECT_NE(Q.FaultDetail.find("no sandbox"), std::string::npos)
+        << Q.FaultDetail;
+  }
+  EXPECT_EQ(Downgraded.Stats.WorkerSpawns, 0u);
 }
 
 TEST(Pool, PoisonWorkerDeathsQuarantinesEarly) {
@@ -542,9 +528,9 @@ TEST(Pool, PoisonWorkerDeathsQuarantinesEarly) {
   Plan.BySeed[3] = Chronic;
   sweep::PoolOptions PO =
       baseOptions(inject::instrumentedRunner(racyBody, Plan), 8);
-  PO.RlimitAsBytes = 768ull << 20;
+  PO.Host.RlimitAsBytes = 768ull << 20;
   PO.Base.MaxAttempts = 3;
-  PO.PoisonWorkerDeaths = 1;
+  PO.Host.PoisonWorkerDeaths = 1;
   sweep::PoolResult R = sweep::pooled(PO);
 
   ASSERT_EQ(R.Res.Quarantined.size(), 1u);
@@ -572,9 +558,9 @@ TEST(Pool, RespawnBackoffBoundsTheCrashStorm) {
   PO.Base.FirstSeed = 3;
   PO.Base.MaxAttempts = 3;
   PO.Base.Threads = 1;
-  PO.RlimitAsBytes = 768ull << 20;
-  PO.RespawnBackoffMicros = 50'000;
-  PO.RespawnBackoffMaxMicros = 500'000;
+  PO.Host.RlimitAsBytes = 768ull << 20;
+  PO.Host.RespawnBackoffMicros = 50'000;
+  PO.Host.RespawnBackoffMaxMicros = 500'000;
 
   auto Start = std::chrono::steady_clock::now();
   sweep::PoolResult R = sweep::pooled(PO);
@@ -603,7 +589,7 @@ TEST(Pool, SupervisorKillsStalledWorker) {
   };
   sweep::PoolOptions PO = baseOptions(corpus::hostBody(Body), 4);
   PO.Base.MaxAttempts = 1; // one stall kill, not one per attempt
-  PO.WorkerStallMillis = 400;
+  PO.Host.WorkerStallMillis = 400;
   sweep::PoolResult R = sweep::pooled(PO);
 
   ASSERT_EQ(R.Res.Quarantined.size(), 1u);
@@ -617,6 +603,57 @@ TEST(Pool, SupervisorKillsStalledWorker) {
       1u);
   // The other three slots completed despite the stall.
   EXPECT_EQ(R.Res.Sweep.SeedsRun, 3u);
+}
+
+TEST(Pool, CompletedSlotsAreNeverReExecutedAcrossARespawn) {
+  // The salvage-and-respawn invariant: a slot whose record reached the
+  // supervisor is finished — the respawned worker must never re-run it,
+  // and never charge it an attempt for a death it did not cause. Pinned
+  // with a side-effect ledger the bodies append to: one worker runs seed
+  // 1, stalls on seed 2 and is killed; its replacement runs seeds 3 and
+  // 4. Every seed's body runs EXACTLY once (the staller included —
+  // MaxAttempts=1 quarantines it on the first death).
+  std::string Ledger = tempPath("respawn-ledger.txt");
+  std::remove(Ledger.c_str());
+  auto Body = [Ledger] {
+    uint64_t Seed = rt::Runtime::current().options().Seed;
+    {
+      std::ofstream Out(Ledger, std::ios::app);
+      Out << Seed << "\n";
+    }
+    if (Seed == 2) {
+      volatile uint64_t Spin = 0;
+      for (;;)
+        Spin = Spin + 1;
+    }
+    racyBody();
+  };
+  sweep::PoolOptions PO = baseOptions(corpus::hostBody(Body), 4);
+  PO.Base.Threads = 1;
+  PO.Base.MaxAttempts = 1;
+  PO.Host.WorkerStallMillis = 400;
+  PO.Host.EnableSeccomp = false; // the body opens the ledger file
+  sweep::PoolResult R = sweep::pooled(PO);
+
+  ASSERT_FALSE(R.Stats.ForkFree);
+  ASSERT_EQ(R.Res.Quarantined.size(), 1u);
+  EXPECT_EQ(R.Res.Quarantined[0].Seed, 2u);
+  EXPECT_EQ(R.Res.Quarantined[0].Attempts, 1u);
+  EXPECT_EQ(R.Res.Sweep.SeedsRun, 3u);
+  EXPECT_EQ(R.Stats.SupervisorKills, 1u);
+  EXPECT_EQ(R.Stats.Respawns, 1u) << "seeds 3 and 4 need a fresh worker";
+
+  std::map<uint64_t, unsigned> Runs;
+  std::ifstream In(Ledger);
+  uint64_t Seed;
+  while (In >> Seed)
+    ++Runs[Seed];
+  ASSERT_EQ(Runs.size(), 4u) << "every seed's body must have run";
+  for (const auto &[S, N] : Runs)
+    EXPECT_EQ(N, 1u) << "seed " << S
+                     << " re-executed across the respawn: completed work "
+                        "must survive a sibling's death";
+  std::remove(Ledger.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -680,8 +717,8 @@ TEST(Pool, SandboxTiersApplyWhereSupported) {
 
   sweep::PoolOptions PO = baseOptions(corpus::hostBody(racyBody), 16);
   sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
-  PO.EnableSeccomp = true;
-  PO.EnableLandlock = true;
+  PO.Host.EnableSeccomp = true;
+  PO.Host.EnableLandlock = true;
   sweep::PoolResult R = sweep::pooled(PO);
   ASSERT_FALSE(R.Stats.ForkFree);
 
@@ -706,7 +743,7 @@ TEST(Pool, SandboxTierDefaultsToRlimitOnly) {
 TEST(Pool, CgroupMemoryAccountingOrTransparentFallback) {
   sweep::PoolOptions PO = baseOptions(corpus::hostBody(racyBody), 16);
   sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
-  PO.UseCgroupMemory = true;
+  PO.Host.UseCgroupMemory = true;
   sweep::PoolResult R = sweep::pooled(PO);
   // Whether or not the host grants a writable memory controller, the
   // sweep result is unchanged — accounting is observability, not
@@ -739,7 +776,6 @@ TEST(Pool, InstrumentsExported) {
   EXPECT_EQ(Reg.findCounter("grs_pool_backoff_waits_total")->value(),
             R.Stats.BackoffWaits);
   EXPECT_EQ(Reg.findGauge("grs_pool_fork_free")->value(), 0.0);
-  EXPECT_EQ(Reg.findGauge("grs_pool_fell_back_isolated")->value(), 0.0);
   EXPECT_EQ(Reg.findGauge("grs_isolation_sandbox_tier")->value(),
             static_cast<double>(R.Stats.Tier));
   uint64_t Deaths = 0;

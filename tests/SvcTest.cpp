@@ -47,6 +47,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <map>
 #include <thread>
 
@@ -559,6 +560,34 @@ TEST(SweepService, DrainParksInFlightJobAndRestartLandsIdentically) {
   EXPECT_TRUE(RefRecords == Records);
 
   removeTree(RefDir);
+  removeTree(Dir);
+}
+
+TEST(SweepService, IdleStartStopNeverLosesTheDrainWakeup) {
+  // drain() must publish StopRequested under the scheduler's mutex: a
+  // store landing between the scheduler's predicate check and its wait
+  // loses the notify, and stop() then joins a scheduler that sleeps
+  // forever. An idle start -> stop puts drain() right on that window.
+  // A lost wakeup fails the cycle instead of hanging the suite: the
+  // test repeats drain() until stop() returns.
+  std::string Dir = tempDir("start-stop");
+  for (int Cycle = 0; Cycle < 200; ++Cycle) {
+    ServiceOptions O;
+    O.StateDir = Dir;
+    O.PoolWorkers = 1;
+    SweepService S(O);
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
+    std::future<void> Stopped =
+        std::async(std::launch::async, [&S] { S.stop(); });
+    if (Stopped.wait_for(std::chrono::seconds(5)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "cycle " << Cycle << ": stop() lost the drain wakeup";
+      while (Stopped.wait_for(std::chrono::milliseconds(10)) !=
+             std::future_status::ready)
+        S.drain();
+    }
+  }
   removeTree(Dir);
 }
 

@@ -16,7 +16,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/Offline.h"
-#include "trace/ParallelSweep.h"
 #include "trace/Trace.h"
 
 #include "corpus/Patterns.h"
