@@ -14,7 +14,9 @@
 #include <mutex>
 #include <pthread.h>
 #include <thread>
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 using namespace grs;
 using namespace grs::rt;
@@ -40,7 +42,8 @@ struct Runtime::Goroutine {
   GState State = GState::NeverStarted;
   std::function<void()> Body;
   std::unique_ptr<char[]> Stack;
-  ucontext_t Ctx;
+  /// The suspended context (see switchFiber); set when first resumed.
+  void *Sp = nullptr;
   uint64_t WakeStep = 0;
   const char *BlockReason = "";
 };
@@ -106,8 +109,7 @@ void installWatchdogHandler() {
 Runtime::Runtime(RunOptions Opts)
     : Opts(std::move(Opts)),
       Det(std::make_unique<race::Detector>(this->Opts.Detector)),
-      SchedRng(this->Opts.Seed),
-      SchedCtxStorage(std::make_unique<char[]>(sizeof(ucontext_t))) {
+      SchedRng(this->Opts.Seed) {
   if (this->Opts.OnReport)
     Det->setReportSink([this](const race::RaceReport &Report) {
       this->Opts.OnReport(*Det, Report);
@@ -156,9 +158,62 @@ Runtime &Runtime::current() {
 
 Runtime *Runtime::currentOrNull() { return ActiveRuntime; }
 
-static ucontext_t &schedCtx(char *Storage) {
-  return *reinterpret_cast<ucontext_t *>(Storage);
+//===----------------------------------------------------------------------===//
+// Fiber switching
+//
+// A suspended context is one pointer into its own stack. On x86-64 it is
+// the stack pointer saved by FiberSwitch.S, whose switch keeps only what
+// the ABI makes callee-saved (rbp, rbx, r12-r15, MXCSR, x87 control word)
+// and makes no syscall. Elsewhere it points at a ucontext_t kept on that
+// same stack, and glibc's swapcontext (a sigprocmask per call) does the
+// work. Either way a fresh fiber inherits its creator's floating-point
+// control state, and each fiber keeps its own from then on.
+//===----------------------------------------------------------------------===//
+
+#if defined(__x86_64__)
+extern "C" void *grs_fiber_make(void *StackTop, void (*Entry)());
+extern "C" void grs_fiber_switch(void **SaveSp, void *LoadSp);
+#endif
+
+namespace {
+
+/// A fiber stack, deliberately not zeroed: a fiber writes its stack before
+/// reading it, and zeroing StackBytes was most of what a spawn cost
+/// (DESIGN.md §16).
+std::unique_ptr<char[]> newStack(size_t Bytes) {
+  return std::unique_ptr<char[]>(new char[Bytes]);
 }
+
+/// The suspended context of a fresh fiber on [Stack, Stack + Bytes) whose
+/// first resumption calls \p Entry, which must never return.
+void *makeFiber(char *Stack, size_t Bytes, void (*Entry)()) {
+#if defined(__x86_64__)
+  return grs_fiber_make(Stack + Bytes, Entry);
+#else
+  auto Top = reinterpret_cast<uintptr_t>(Stack + Bytes);
+  auto *Ctx = reinterpret_cast<ucontext_t *>(
+      (Top - sizeof(ucontext_t)) & ~uintptr_t(alignof(ucontext_t) - 1));
+  getcontext(Ctx);
+  Ctx->uc_stack.ss_sp = Stack;
+  Ctx->uc_stack.ss_size = reinterpret_cast<char *>(Ctx) - Stack;
+  Ctx->uc_link = nullptr;
+  makecontext(Ctx, Entry, 0);
+  return Ctx;
+#endif
+}
+
+/// Suspends the running context into \p Save and resumes \p Load.
+void switchFiber(void **Save, void *Load) {
+#if defined(__x86_64__)
+  grs_fiber_switch(Save, Load);
+#else
+  ucontext_t Here;
+  *Save = &Here;
+  swapcontext(&Here, static_cast<ucontext_t *>(Load));
+#endif
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Fiber entry
@@ -190,7 +245,7 @@ void Runtime::fiberEntry() {
   Det->popFrame(G.Id);
   Det->finish(G.Id);
   G.State = GState::Finished;
-  swapcontext(&G.Ctx, &schedCtx(SchedCtxStorage.get()));
+  switchFiber(&G.Sp, SchedSp);
   assert(false && "resumed a finished goroutine");
 }
 
@@ -209,7 +264,7 @@ RunResult Runtime::run(std::function<void()> Main) {
   MainG->Id = Det->newRootGoroutine();
   MainG->Name = "main";
   MainG->Body = std::move(Main);
-  MainG->Stack = std::make_unique<char[]>(Opts.StackBytes);
+  MainG->Stack = newStack(Opts.StackBytes);
   Goroutines.push_back(std::move(MainG));
 
   runScheduler();
@@ -391,20 +446,16 @@ void Runtime::resumeGoroutine(size_t Index) {
   Goroutine &G = *Goroutines[Index];
   obs::inc(MCtxSwitches);
   CurrentIndex = Index;
-  if (G.State == GState::NeverStarted) {
-    getcontext(&G.Ctx);
-    G.Ctx.uc_stack.ss_sp = G.Stack.get();
-    G.Ctx.uc_stack.ss_size = Opts.StackBytes;
-    G.Ctx.uc_link = nullptr;
-    makecontext(&G.Ctx, &Runtime::fiberTrampoline, 0);
-  }
+  if (G.State == GState::NeverStarted)
+    G.Sp = makeFiber(G.Stack.get(), Opts.StackBytes,
+                     &Runtime::fiberTrampoline);
   G.State = GState::Running;
-  swapcontext(&schedCtx(SchedCtxStorage.get()), &G.Ctx);
+  switchFiber(&SchedSp, G.Sp);
 }
 
 void Runtime::switchToScheduler() {
   Goroutine &G = *Goroutines[CurrentIndex];
-  swapcontext(&G.Ctx, &schedCtx(SchedCtxStorage.get()));
+  switchFiber(&G.Sp, SchedSp);
   // Resumed by the scheduler.
   checkAbort();
 }
@@ -428,7 +479,7 @@ race::Tid Runtime::go(const std::string &Name, std::function<void()> Body) {
   G->Id = Det->fork(tid());
   G->Name = Name;
   G->Body = std::move(Body);
-  G->Stack = std::make_unique<char[]>(Opts.StackBytes);
+  G->Stack = newStack(Opts.StackBytes);
   race::Tid NewTid = G->Id;
   assert(NewTid == Goroutines.size() && "tid / goroutine index skew");
   Goroutines.push_back(std::move(G));

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A miniature Go-like concurrency runtime: goroutines as ucontext fibers
+/// A miniature Go-like concurrency runtime: goroutines as fibers (a
+/// register-only switch on x86-64, ucontext elsewhere; DESIGN.md §16)
 /// multiplexed onto the calling OS thread by a seed-deterministic
 /// scheduler, with every instrumented memory access doubling as a
 /// potential preemption point.
@@ -344,8 +345,9 @@ private:
   bool Running = false;
   bool Aborting = false;
   RunResult Result;
-  /// Opaque storage for the scheduler's own ucontext.
-  std::unique_ptr<char[]> SchedCtxStorage;
+  /// The scheduler's suspended context while a fiber runs: one pointer
+  /// into the scheduler's stack (Runtime.cpp, switchFiber).
+  void *SchedSp = nullptr;
   //===------------------------------------------------------------------===//
   // Watchdog state (all inert when RunOptions::WatchdogMillis == 0)
   //===------------------------------------------------------------------===//

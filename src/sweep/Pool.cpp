@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <new>
@@ -155,6 +156,18 @@ void setLimit(int Resource, uint64_t Value) {
   setrlimit(Resource, &RL);
 }
 
+/// This process's address-space size in bytes (the first field of
+/// /proc/self/statm), or 0 where that is unreadable.
+uint64_t addressSpaceBytes() {
+  FILE *F = std::fopen("/proc/self/statm", "r");
+  if (!F)
+    return 0;
+  unsigned long long Pages = 0;
+  bool Read = std::fscanf(F, "%llu", &Pages) == 1;
+  std::fclose(F);
+  return Read ? Pages * static_cast<uint64_t>(sysconf(_SC_PAGESIZE)) : 0;
+}
+
 /// Exit code for a worker whose resolver rejected the published spec
 /// bytes — a parent/worker disagreement that should be impossible (the
 /// parent resolved the same bytes before publishing). Distinct from
@@ -174,7 +187,10 @@ struct WorkerCtx {
   int DoorbellFd; ///< write end; O_NONBLOCK (a full doorbell is still rung)
   bool UseFutex;
   bool SkipRlimitAs; ///< cgroup memory.max replaces RLIMIT_AS
-  pid_t HostPid;     ///< pre-fork getpid() of the host, for PDEATHSIG
+  /// The host's address-space size just before fork(), which the worker
+  /// starts with: RLIMIT_AS is this plus RlimitAsBytes of headroom.
+  uint64_t HostAsBytes;
+  pid_t HostPid; ///< pre-fork getpid() of the host, for PDEATHSIG
 };
 
 /// Doorbell: one byte per arena advance. EAGAIN means the pipe already
@@ -191,10 +207,12 @@ void ringDoorbell(void *Arg) {
 /// runResilientSlot the in-process executor uses, frame the record (and
 /// traced timeline delta) into the shm arena, repeat until shutdown.
 /// Never returns; never calls exit() (inherited stdio buffers must not
-/// be flushed twice). Opens NOTHING: every fd it touches was pre-opened
-/// by the parent — which is what lets DenyFileOpens drop open/openat
-/// from the seccomp surface entirely.
-[[noreturn]] void workerMain(const WorkerCtx &Ctx) {
+/// be flushed twice), and never unwinds: an exception that escapes it
+/// (say, std::bad_alloc under RLIMIT_AS) terminates the worker instead
+/// of unwinding into its copy of the host's frames. Opens NOTHING: every
+/// fd it touches was pre-opened by the parent — which is what lets
+/// DenyFileOpens drop open/openat from the seccomp surface entirely.
+[[noreturn]] void workerMain(const WorkerCtx &Ctx) noexcept {
   rt::prepareChildAfterFork();
   // The doorbell write must surface EPIPE, not kill the worker.
   signal(SIGPIPE, SIG_IGN);
@@ -209,8 +227,8 @@ void ringDoorbell(void *Arg) {
     _exit(0);
 #endif
   inject::enterSandbox();
-  if (!Ctx.SkipRlimitAs)
-    setLimit(RLIMIT_AS, Ctx.Opts->RlimitAsBytes);
+  if (!Ctx.SkipRlimitAs && Ctx.Opts->RlimitAsBytes)
+    setLimit(RLIMIT_AS, Ctx.HostAsBytes + Ctx.Opts->RlimitAsBytes);
   setLimit(RLIMIT_CPU, Ctx.Opts->RlimitCpuSeconds);
   setLimit(RLIMIT_STACK, Ctx.Opts->RlimitStackBytes);
   // Workers die by signal ON PURPOSE; no core files.
@@ -663,6 +681,7 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
             return false;
           fcntl(Fds[0], F_SETFL, O_NONBLOCK);
           fcntl(Fds[1], F_SETFL, O_NONBLOCK);
+          uint64_t HostAsBytes = addressSpaceBytes();
           Pid = fork();
           if (Pid == 0) {
             close(Fds[0]);
@@ -678,6 +697,7 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
             Ctx.DoorbellFd = Fds[1];
             Ctx.UseFutex = UseFutex;
             Ctx.SkipRlimitAs = I.Cg.active();
+            Ctx.HostAsBytes = HostAsBytes;
             Ctx.HostPid = HostPid;
             workerMain(Ctx);
           }

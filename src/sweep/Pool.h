@@ -201,12 +201,15 @@ struct PoolHostOptions {
   /// arena still flow (the producer streams them in ring-sized pieces);
   /// a smaller arena only costs wakeups.
   uint64_t ArenaBytes = 256 << 10;
-  /// Worker rlimits; 0 leaves a limit unset. RLIMIT_AS (bytes) turns a
-  /// runaway allocation into a clean exit(inject::OomExitCode), and is
-  /// skipped when cgroup memory accounting is active (the cgroup bounds
-  /// real memory instead of address space). RLIMIT_CPU (seconds) fires
-  /// SIGXCPU, classified Rlimit. RLIMIT_STACK (bytes) bounds only the
-  /// worker's main thread; fiber stacks are heap allocations.
+  /// Worker rlimits; 0 leaves a limit unset. RlimitAsBytes is HEADROOM:
+  /// a worker starts with its host's whole address space, so its
+  /// RLIMIT_AS is the host's size at fork() plus this many bytes. It
+  /// turns a runaway allocation into a clean exit(inject::OomExitCode),
+  /// and is skipped when cgroup memory accounting is active (the cgroup
+  /// bounds real memory instead, with RlimitAsBytes as memory.max).
+  /// RLIMIT_CPU (seconds) fires SIGXCPU, classified Rlimit. RLIMIT_STACK
+  /// (bytes) bounds only the worker's main thread; fiber stacks are heap
+  /// allocations.
   uint64_t RlimitAsBytes = 256ull << 20;
   uint64_t RlimitCpuSeconds = 0;
   uint64_t RlimitStackBytes = 0;

@@ -563,7 +563,7 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
   Pool.Base.Run.MaxSteps = 20000;
   Pool.Base.Body = inject::instrumentedRunner(makeBody(S), Plan);
   Pool.Host.RespawnBackoffMicros = 0; // deaths are the point; don't wait
-  // Roomy: workers inherit the gtest parent's address space, and only
+  // Roomy headroom above the gtest parent's address space, so only
   // HeapExhaustion should be able to hit the cap (see PoolTest).
   Pool.Host.RlimitAsBytes = 768ull << 20;
   // Odd plans squeeze the arena so every worker's ring wraps and deaths

@@ -24,7 +24,8 @@
 //    exponential trajectory instead of fork-bombing the parent;
 //  * SANDBOX/CGROUP — the opt-in seccomp/landlock tiers and cgroup memory
 //    accounting apply where the kernel offers them and degrade silently
-//    (with honest PoolStats) where it does not;
+//    (with honest PoolStats) where it does not; RLIMIT_AS is headroom
+//    above the host's size, so a large host's workers can still allocate;
 //  * RESUME — journals remain shared with the other executors in BOTH
 //    directions.
 //
@@ -49,6 +50,8 @@
 #include <set>
 #include <thread>
 
+#include <sys/mman.h>
+
 using namespace grs;
 
 namespace {
@@ -60,6 +63,18 @@ void racyBody() {
   rt::Runtime &RT = rt::Runtime::current();
   RT.go("writer", [X] { X->store(1); });
   X->store(2);
+}
+
+/// Where allocatingRacyBody publishes its block, so that the allocation
+/// cannot be optimized away.
+char *volatile AllocationSink = nullptr;
+
+/// racyBody after an 8 MiB allocation, which glibc serves with a fresh
+/// mapping: the body needs address space its worker did not inherit.
+void allocatingRacyBody() {
+  std::vector<char> Block(8u << 20, 1);
+  AllocationSink = Block.data();
+  racyBody();
 }
 
 std::string tempPath(const std::string &Name) {
@@ -118,9 +133,10 @@ inject::FaultPlan lethalPlan() {
 sweep::PoolOptions lethalOptions(const inject::FaultPlan &Plan) {
   sweep::PoolOptions PO =
       baseOptions(inject::instrumentedRunner(racyBody, Plan), 20);
-  // Generous address-space cap: the gtest parent's inherited mappings
-  // plus the worker's own working set must fit UNDER it, so only the
-  // HeapExhaustion saboteur's deliberate allocation storm hits it.
+  // Generous address-space headroom (above the gtest parent's size at
+  // fork): the worker's own working set fits under it with room to
+  // spare, so only the HeapExhaustion saboteur's deliberate allocation
+  // storm hits it.
   PO.Host.RlimitAsBytes = 768ull << 20;
   return PO;
 }
@@ -732,6 +748,27 @@ TEST(Pool, SandboxTiersApplyWhereSupported) {
               : sweep::SandboxTier::Landlock;
   EXPECT_EQ(R.Stats.Tier, Expected)
       << "got tier " << sweep::sandboxTierName(R.Stats.Tier);
+}
+
+TEST(Pool, AddressSpaceLimitIsHeadroomAboveTheHost) {
+  // A host that already maps more than RlimitAsBytes (the service
+  // daemon maps ~300 MB): every worker starts at the host's size, so an
+  // absolute RLIMIT_AS would leave it no room for a single new mapping.
+  constexpr size_t Reserve = 300u << 20;
+  void *Hold = mmap(nullptr, Reserve, PROT_NONE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(Hold, MAP_FAILED);
+  sweep::PoolOptions PO =
+      baseOptions(corpus::hostBody(allocatingRacyBody), 16);
+  ASSERT_LT(PO.Host.RlimitAsBytes, Reserve);
+  sweep::PoolResult Pooled = sweep::pooled(PO);
+  sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
+  munmap(Hold, Reserve);
+
+  EXPECT_FALSE(Pooled.Stats.ForkFree);
+  EXPECT_TRUE(Pooled.Res.Quarantined.empty());
+  EXPECT_EQ(Pooled.Stats.deaths(), 0u);
+  EXPECT_EQ(Pooled.Res, InProcess);
 }
 
 TEST(Pool, SandboxTierDefaultsToRlimitOnly) {

@@ -703,8 +703,10 @@ TEST(KillBattery, SigkillAtRandomPointsThenRestartIsBitIdentical) {
 
   // The job: a grs body with real per-slot cost on the REAL pool, so
   // SIGKILL lands between worker commits, mid-journal-append, wherever
-  // the clock says.
-  std::string Spec = slowGrsSpec(96, 40, "", "pool");
+  // the clock says. About 2 ms of work a slot: 48 slots a worker outlast
+  // the earliest kill (55 ms) on their own, without counting on the
+  // per-run watchdog's poll sleep to stretch the job.
+  std::string Spec = slowGrsSpec(96, 2000, "", "pool");
 
   std::string RefDir = tempDir("kill-ref");
   seedJob(RefDir, Spec);
