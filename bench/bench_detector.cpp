@@ -15,27 +15,13 @@
 //
 // Uses google-benchmark; run with --benchmark_filter=... as usual.
 //
-// `bench_detector --smoke [--out FILE]` instead runs the CI gate for the
-// shadow-state GC: corpus-wide verdict parity GC-on vs GC-off, the
-// bounded-footprint pin on a long-running workload, and a replay
-// throughput regression check (GC-on must stay within 10% of GC-off).
-// Nonzero exit on any breach; the JSON artifact carries the measurements.
-//
 //===----------------------------------------------------------------------===//
 
-#include "corpus/Patterns.h"
 #include "pipeline/Fingerprint.h"
 #include "race/Detector.h"
-#include "race/Report.h"
-#include "rt/Runtime.h"
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -280,178 +266,4 @@ static void BM_GcCollectionSweep(benchmark::State &State) {
 }
 BENCHMARK(BM_GcCollectionSweep);
 
-//===----------------------------------------------------------------------===//
-// --smoke: the detector-GC CI gate
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Per-seed verdict of one corpus run: sorted fingerprints + counts.
-/// Bitwise equality of these across GC modes is the gate's parity bar.
-struct GateVerdict {
-  std::vector<uint64_t> Fingerprints;
-  size_t Races = 0;
-
-  bool operator==(const GateVerdict &) const = default;
-};
-
-GateVerdict runPattern(const corpus::Pattern &P, bool Racy, uint64_t Seed,
-                       const race::DetectorOptions &Det) {
-  GateVerdict V;
-  rt::RunOptions Opts;
-  Opts.Seed = Seed;
-  Opts.Detector = Det;
-  Opts.OnReport = [&V](const race::Detector &D,
-                       const race::RaceReport &R) {
-    V.Fingerprints.push_back(pipeline::raceFingerprint(D.interner(), R));
-  };
-  rt::RunResult R = Racy ? P.RunRacy(Opts) : P.RunFixed(Opts);
-  std::sort(V.Fingerprints.begin(), V.Fingerprints.end());
-  V.Races = R.RaceCount;
-  return V;
-}
-
-/// One timed pass of the round workload, in events/sec.
-double roundEventsPerSecOnce(const race::DetectorOptions &Det,
-                             int Rounds) {
-  Detector D(Det);
-  Tid T0 = D.newRootGoroutine();
-  auto Start = std::chrono::steady_clock::now();
-  runWorkerRounds(D, T0, Rounds, 0x10000);
-  std::chrono::duration<double> Secs =
-      std::chrono::steady_clock::now() - Start;
-  return static_cast<double>(Rounds) * EventsPerRound /
-         std::max(Secs.count(), 1e-9);
-}
-
-int runGcSmoke(const char *OutPath) {
-  int Status = 0;
-  race::DetectorOptions Off;
-  Off.Gc = GcMode::Off;
-  race::DetectorOptions On; // MinClock default...
-  On.GcIntervalEvents = 17; // ...at a hostile collection interval.
-
-  // Gate 1: verdict parity over the whole corpus, racy and fixed.
-  size_t Patterns = 0, Divergences = 0;
-  for (const corpus::Pattern &P : corpus::allPatterns()) {
-    ++Patterns;
-    for (bool Racy : {true, false}) {
-      for (uint64_t Seed = 1; Seed <= 10; ++Seed) {
-        GateVerdict Base = runPattern(P, Racy, Seed, Off);
-        GateVerdict Gc = runPattern(P, Racy, Seed, On);
-        if (!(Base == Gc)) {
-          std::fprintf(stderr,
-                       "GC VERDICT DIVERGENCE: %s %s seed %llu "
-                       "(%zu vs %zu races)\n",
-                       P.Id.c_str(), Racy ? "racy" : "fixed",
-                       static_cast<unsigned long long>(Seed), Base.Races,
-                       Gc.Races);
-          ++Divergences;
-          Status = 1;
-        }
-      }
-    }
-  }
-
-  // Gate 2: the footprint bound. A 2000-round run must end with a small
-  // live set under GC (the plateau) while GC-off retains every round.
-  constexpr int Rounds = 2000;
-  auto EndFootprint = [&](const race::DetectorOptions &Det) {
-    Detector D(Det);
-    Tid T0 = D.newRootGoroutine();
-    runWorkerRounds(D, T0, Rounds, 0x10000);
-    return D.footprint();
-  };
-  race::ShadowFootprint FOff = EndFootprint(Off);
-  race::ShadowFootprint FOn = EndFootprint(On);
-  // Live words+cells under GC, pinned absolutely (the plateau is a small
-  // multiple of the live-thread count, nowhere near the round count) and
-  // relatively (>= 8x smaller than the GC-off heap it replaces).
-  bool BoundHolds = FOn.ShadowCells <= Rounds / 4 &&
-                    FOn.VcWords <= FOff.VcWords / 8 &&
-                    FOn.ShadowCells * 8 <= FOff.ShadowCells;
-  if (!BoundHolds) {
-    std::fprintf(stderr,
-                 "GC FOOTPRINT BOUND BREACH: on cells=%llu words=%llu vs "
-                 "off cells=%llu words=%llu\n",
-                 static_cast<unsigned long long>(FOn.ShadowCells),
-                 static_cast<unsigned long long>(FOn.VcWords),
-                 static_cast<unsigned long long>(FOff.ShadowCells),
-                 static_cast<unsigned long long>(FOff.VcWords));
-    Status = 1;
-  }
-
-  // Gate 3: throughput. GC-on (default 4096-event interval, the shipped
-  // configuration) must stay within 10% of GC-off on the same workload.
-  // Reps interleave the two modes so load drift on a shared CI box hits
-  // both equally; best-of suppresses scheduler noise.
-  race::DetectorOptions OnDefault;
-  double EpsOff = 0, EpsOn = 0;
-  for (int Rep = 0; Rep < 7; ++Rep) {
-    EpsOff = std::max(EpsOff, roundEventsPerSecOnce(Off, 4000));
-    EpsOn = std::max(EpsOn, roundEventsPerSecOnce(OnDefault, 4000));
-  }
-  double Ratio = EpsOff > 0 ? EpsOn / EpsOff : 0;
-  if (Ratio < 0.9) {
-    std::fprintf(stderr,
-                 "GC THROUGHPUT REGRESSION: on=%.0f off=%.0f events/sec "
-                 "(ratio %.3f < 0.90)\n",
-                 EpsOn, EpsOff, Ratio);
-    Status = 1;
-  }
-
-  std::FILE *Out = OutPath ? std::fopen(OutPath, "w") : stdout;
-  if (!Out) {
-    std::fprintf(stderr, "cannot open %s\n", OutPath);
-    return 2;
-  }
-  std::fprintf(Out, "{\n  \"gate\": \"detector-gc\",\n");
-  std::fprintf(Out,
-               "  \"verdict_parity\": {\"patterns\": %zu, \"seeds\": 10, "
-               "\"divergences\": %zu},\n",
-               Patterns, Divergences);
-  std::fprintf(
-      Out,
-      "  \"footprint\": {\"rounds\": %d, \"bound_holds\": %s,\n"
-      "    \"gc_on\": {\"cells\": %llu, \"vc_words\": %llu, "
-      "\"reclaimed_cells\": %llu, \"reclaimed_vc_words\": %llu},\n"
-      "    \"gc_off\": {\"cells\": %llu, \"vc_words\": %llu}},\n",
-      Rounds, BoundHolds ? "true" : "false",
-      static_cast<unsigned long long>(FOn.ShadowCells),
-      static_cast<unsigned long long>(FOn.VcWords),
-      static_cast<unsigned long long>(FOn.ReclaimedCells),
-      static_cast<unsigned long long>(FOn.ReclaimedVcWords),
-      static_cast<unsigned long long>(FOff.ShadowCells),
-      static_cast<unsigned long long>(FOff.VcWords));
-  std::fprintf(Out,
-               "  \"throughput\": {\"gc_on_eps\": %.0f, \"gc_off_eps\": "
-               "%.0f, \"ratio\": %.3f},\n",
-               EpsOn, EpsOff, Ratio);
-  std::fprintf(Out, "  \"status\": %d\n}\n", Status);
-  if (OutPath)
-    std::fclose(Out);
-  return Status;
-}
-
-} // namespace
-
-int main(int Argc, char **Argv) {
-  bool Smoke = false;
-  const char *OutPath = nullptr;
-  for (int I = 1; I < Argc; ++I) {
-    if (!std::strcmp(Argv[I], "--smoke")) {
-      Smoke = true;
-    } else if (!std::strcmp(Argv[I], "--out") && I + 1 < Argc) {
-      OutPath = Argv[++I];
-    }
-  }
-  if (Smoke)
-    return runGcSmoke(OutPath);
-
-  benchmark::Initialize(&Argc, Argv);
-  if (benchmark::ReportUnrecognizedArguments(Argc, Argv))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -9,8 +9,8 @@
 /// The registry of known schedule-dependent programs and their expected
 /// §3.3.1 fingerprints — the ground truth behind (a) the CoverageTest
 /// tier-1 check that no pattern's race silently stops manifesting under
-/// sweep, and (b) bench_adaptive's runs-to-first-detection comparison of
-/// the adaptive vs uniform sweep engines.
+/// sweep, and (b) AdaptiveSweepTest's runs-to-first-detection comparison
+/// of the adaptive vs uniform sweep engines.
 ///
 /// Three kinds of rows:
 ///  * NEEDLES — purpose-built programs whose race manifests on only a
@@ -21,8 +21,8 @@
 ///  * mild corpus rows — Section 4 patterns whose detection rate is
 ///    high but fractional (0.86-0.93), the paper's typical case.
 ///  * always-manifesting rows — corpus patterns detected on essentially
-///    every schedule; bench_adaptive's CI sanity floor (adaptive must
-///    never do worse than uniform on these).
+///    every schedule; AdaptiveFloor's sanity floor (adaptive must never
+///    do worse than uniform on these).
 ///
 /// Every expected fingerprint is hardcoded: the §3.3.1 hash keys on
 /// lexicographically-ordered function-name chains with line numbers
@@ -51,7 +51,7 @@ struct ScheduleDep {
   std::string Id;
   std::string Description;
   /// True for rows that manifest on essentially every schedule — the
-  /// bench_adaptive sanity-floor set.
+  /// AdaptiveFloor sanity-floor set.
   bool Always = false;
   /// Detection rate at default RunOptions (PreemptProbability 0.2),
   /// measured over 200+ seeds; documentation for bench readers.

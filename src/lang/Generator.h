@@ -23,8 +23,8 @@
 /// The harness sweeps each generated program through the interpreter
 /// and scores verdicts against ground truth: a racy program that never
 /// flags is a MISS; a benign program that flags is a FALSE POSITIVE;
-/// any panic, deadlock, or leak is a generator-or-runtime bug. This is
-/// the `bench_lang --smoke` gate.
+/// any panic, deadlock, or leak is a generator-or-runtime bug.
+/// LangGenerator.DifferentialGroundTruthHolds gates 500 programs.
 ///
 //===----------------------------------------------------------------------===//
 

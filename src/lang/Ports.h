@@ -15,7 +15,7 @@
 /// Detection RATES are not pinned here: the interpreter performs extra
 /// instrumented accesses (variable cells), which perturbs per-seed
 /// schedules, so a port and its twin can manifest on different seeds.
-/// What must agree — and what LangTest / bench_lang assert — is the
+/// What must agree — and what LangTest asserts — is the
 /// fingerprint SET over a sweep, plus every-seed detection for ports
 /// whose twin is schedule-independent (Always).
 ///

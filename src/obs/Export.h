@@ -46,8 +46,8 @@ void exportJsonLines(const Registry &R, std::ostream &OS);
 std::string jsonLines(const Registry &R);
 
 /// Renders the phase tree as an indented support::TextTable (calls,
-/// cumulative ms, self ms, self share) — the profiler half of the
-/// bench_obs dashboard.
+/// cumulative ms, self ms, self share) — the profiler half of a telemetry
+/// dashboard.
 void renderPhaseTable(std::ostream &OS, const Registry &R,
                       const std::string &Title);
 

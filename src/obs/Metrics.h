@@ -23,8 +23,8 @@
 ///    directly.
 ///  * A disabled registry hands out null handles, and the `obs::inc`/
 ///    `obs::set`/`obs::observe` helpers reduce to one predictable branch —
-///    the zero-overhead-when-disabled contract, verified by
-///    `bench_obs --overhead` and the bench_detector baseline check.
+///    the zero-overhead-when-disabled contract, pinned by
+///    Obs.RuntimeTreatsDisabledRegistryAsAbsent.
 ///  * Everything is deterministic except wall-clock phase timings; tests
 ///    inject a fake clock via Registry::setClock() so even span trees are
 ///    bit-reproducible (same seed ⇒ identical exported snapshot).

@@ -17,8 +17,8 @@
 ///  * A Timeline constructed disabled hands out nullptr tracks, and the
 ///    `obs::tlBegin`/`tlEnd`/`tlInstant`/`tlCounter` helpers (plus the
 ///    RAII TimelineScope) reduce to one predictable branch — the same
-///    zero-overhead-when-disabled contract as obs::Registry, verified by
-///    `bench_timeline --smoke`.
+///    zero-overhead-when-disabled contract as obs::Registry, gated by
+///    `bench_gates` (a disabled timeline costs at most +10%).
 ///  * Recording NEVER consumes scheduler or fault-injection RNG and never
 ///    perturbs a schedule: a run with tracing enabled is bit-identical
 ///    (fingerprints, checkpoint journals) to the same run without it.

@@ -143,8 +143,8 @@ struct DeploymentConfig {
   bool AdaptiveSnapshot = false;
   /// Multiplier applied to a flaky race's per-run manifestation
   /// probability when the adaptive planner is active (clamped to 1.0).
-  /// 1.35 matches bench_adaptive's measured uplift of exploit-heavy
-  /// rounds over uniform explore at default ExploitWeight.
+  /// 1.35 matches the measured uplift of exploit-heavy rounds over
+  /// uniform explore at default ExploitWeight (EXPERIMENTS.md).
   double AdaptiveBoost = 1.35;
   /// Deployment mode (see DeployMode).
   DeployMode Mode = DeployMode::PostFacto;

@@ -76,9 +76,13 @@ struct SweepOptions {
   obs::Timeline *Timeline = nullptr;
 };
 
-/// Runs \p Body under NumSeeds schedules and aggregates.
-inline SweepResult sweep(const SweepOptions &Opts,
-                         const std::function<void()> &Body) {
+/// A program under sweep: runs one fresh Runtime configured by the given
+/// options. Matches corpus::Pattern::RunRacy, so corpus patterns plug in
+/// directly; corpus::hostBody() wraps a plain body.
+using Runner = std::function<rt::RunResult(const rt::RunOptions &)>;
+
+/// Runs \p Run under NumSeeds schedules and aggregates.
+inline SweepResult sweep(const SweepOptions &Opts, const Runner &Run) {
   SweepResult Result;
   obs::TimelineTrack *Track =
       Opts.Timeline ? Opts.Timeline->track("sweep") : nullptr;
@@ -102,16 +106,25 @@ inline SweepResult sweep(const SweepOptions &Opts,
       if (Finding.SampleReport.empty())
         Finding.SampleReport = race::reportToString(D.interner(), Report);
     };
-    rt::Runtime RT(RunOpts);
-    rt::RunResult Run = RT.run(Body);
+    rt::RunResult R = Run(RunOpts);
     ++Result.SeedsRun;
-    Result.SeedsWithRaces += Run.RaceCount > 0;
-    Result.SeedsWithLeaks += !Run.LeakedGoroutines.empty();
-    Result.SeedsWithPanics += !Run.Panics.empty();
-    Result.SeedsDeadlocked += Run.Deadlocked;
-    Result.TotalReports += Run.RaceCount;
+    Result.SeedsWithRaces += R.RaceCount > 0;
+    Result.SeedsWithLeaks += !R.LeakedGoroutines.empty();
+    Result.SeedsWithPanics += !R.Panics.empty();
+    Result.SeedsDeadlocked += R.Deadlocked;
+    Result.TotalReports += R.RaceCount;
   }
   return Result;
+}
+
+/// Runs \p Body, each schedule in a fresh Runtime, under NumSeeds
+/// schedules and aggregates.
+inline SweepResult sweep(const SweepOptions &Opts,
+                         const std::function<void()> &Body) {
+  return sweep(Opts, [&Body](const rt::RunOptions &RunOpts) {
+    rt::Runtime RT(RunOpts);
+    return RT.run(Body);
+  });
 }
 
 /// Convenience: sweep with default options and \p NumSeeds schedules.

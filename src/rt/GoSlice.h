@@ -102,6 +102,16 @@ public:
 
   /// s = append(s, V): reads AND writes the meta fields; reallocates (and
   /// reads every element while copying) when capacity is exhausted.
+  ///
+  /// Instrument, then act: each RT call may switch goroutines, and a
+  /// sibling append on the same slice can run there, growing it or
+  /// filling its backing. So the C++ state is read and changed only after
+  /// the last RT call before it: the copy takes the length it finds after
+  /// the reads, and the store re-derives its position and room after the
+  /// element write. A racy append is then a detected race, never a store
+  /// past the end of the backing. In such a schedule the backing's data
+  /// can outgrow its shadow range; the RT calls, and so the verdicts, are
+  /// the same as if the storage had not moved.
   void append(T V) {
     Runtime &RT = Runtime::current();
     RT.read(MetaAddr, Name + ".meta");
@@ -109,14 +119,18 @@ public:
     if (!B || Offset + Length >= B->Data.size()) {
       size_t NewCap = Length == 0 ? 1 : Length * 2;
       auto NewB = std::make_shared<Backing>(NewCap);
-      for (size_t I = 0; I < Length; ++I) {
+      for (size_t I = 0; I < Length; ++I)
         RT.read(elemAddr(I), Name + "[i]");
+      if (NewB->Data.size() < Length)
+        NewB->Data.resize(Length);
+      for (size_t I = 0; I < Length; ++I)
         NewB->Data[I] = B->Data[Offset + I];
-      }
       B = std::move(NewB);
       Offset = 0;
     }
     RT.write(B->ElemBase + Offset + Length, Name + "[i]");
+    if (Offset + Length >= B->Data.size())
+      B->Data.resize(Offset + Length + 1);
     B->Data[Offset + Length] = std::move(V);
     ++Length;
   }

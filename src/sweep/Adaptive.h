@@ -59,10 +59,8 @@
 namespace grs {
 namespace sweep {
 
-/// A program under sweep: runs one fresh Runtime configured by the given
-/// options. Matches corpus::Pattern::RunRacy, so corpus patterns plug in
-/// directly; wrap a plain body with corpus::hostBody().
-using Runner = std::function<rt::RunResult(const rt::RunOptions &)>;
+/// A program under sweep (see pipeline::Runner).
+using Runner = pipeline::Runner;
 
 /// Schedule features of one run, extracted from `grs_rt_*` instrument
 /// deltas around the run (see probeRun).

@@ -31,8 +31,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 using namespace grs;
 using namespace grs::sweep;
@@ -131,6 +133,53 @@ TEST(AdaptiveDeterminism, BudgetBookkeepingAddsUp) {
   EXPECT_EQ(R.Sweep.SeedsRun, A.NumRuns);
   EXPECT_EQ(R.ExploreRuns + R.ExploitRuns, A.NumRuns);
   EXPECT_EQ(R.Rounds, (A.NumRuns + A.RoundSize - 1) / A.RoundSize);
+}
+
+//===----------------------------------------------------------------------===//
+// Sanity floor: adaptive never loses to uniform on always-manifesting rows
+//===----------------------------------------------------------------------===//
+
+uint64_t medianOf(std::vector<uint64_t> Values) {
+  std::sort(Values.begin(), Values.end());
+  return Values[Values.size() / 2];
+}
+
+// Median runs-to-first-detection over independent trials (censored at the
+// budget as Budget + 1). On a row that manifests under every schedule, an
+// adaptive sweep slower than the uniform one means the engine broke.
+TEST(AdaptiveFloor, AlwaysRowsDetectNoLaterThanUniform) {
+  constexpr uint64_t Budget = 120;
+  constexpr unsigned Trials = 5;
+  unsigned Rows = 0;
+  for (const corpus::ScheduleDep &Dep : corpus::scheduleDeps()) {
+    if (!Dep.Always)
+      continue;
+    ++Rows;
+    std::vector<uint64_t> Uniform, Adaptive;
+    for (unsigned T = 0; T < Trials; ++T) {
+      // Disjoint seed bases per trial, so trials are independent samples;
+      // prime spacing decorrelates the blocks from the budget.
+      uint64_t BaseSeed = 1 + static_cast<uint64_t>(T) * 9973;
+      uint64_t First = Budget + 1;
+      for (uint64_t I = 0; I < Budget && First > Budget; ++I) {
+        rt::RunOptions Opts;
+        Opts.Seed = BaseSeed + I;
+        if (Dep.Run(Opts).RaceCount > 0)
+          First = I + 1;
+      }
+      Uniform.push_back(First);
+
+      AdaptiveOptions A;
+      A.FirstSeed = BaseSeed;
+      A.NumRuns = Budget;
+      A.PlannerSeed = 1000 + T;
+      A.Body = Dep.Run;
+      AdaptiveResult R = adaptive(A);
+      Adaptive.push_back(R.FirstRacyRun ? R.FirstRacyRun : Budget + 1);
+    }
+    EXPECT_LE(medianOf(Adaptive), medianOf(Uniform)) << Dep.Id;
+  }
+  EXPECT_GT(Rows, 0u);
 }
 
 //===----------------------------------------------------------------------===//

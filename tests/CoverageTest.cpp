@@ -284,7 +284,7 @@ TEST(Edges, MapIterationRacesWithConcurrentInsert) {
 // reach them. Sweeping each row pins three things at once: the needle
 // bodies actually manifest (no silently-dead benchmark rows), the
 // fingerprints are stable (goroutine-name chains, so any rename breaks
-// loudly here rather than quietly skewing bench_adaptive), and no row
+// loudly here rather than quietly skewing AdaptiveFloor), and no row
 // produces fingerprints beyond its declared set.
 //===----------------------------------------------------------------------===//
 

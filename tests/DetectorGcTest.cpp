@@ -40,7 +40,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
 #include <vector>
 
 using namespace grs;
@@ -101,51 +100,25 @@ TEST(MinClock, MinWithNeverGrowsTheResult) {
 // Differential sweeps: runner-style workloads (corpus patterns)
 //===----------------------------------------------------------------------===//
 
-using Runner = std::function<rt::RunResult(const rt::RunOptions &)>;
-
-/// Sweeps \p Run over schedules exactly like pipeline::sweep, but for
-/// Runner-style workloads (corpus patterns host their own Runtime).
-/// Returns the same SweepResult — its operator== compares everything
-/// down to each finding's rendered sample report, which is the strongest
-/// equality the pipeline defines.
-pipeline::SweepResult sweepRunner(const Runner &Run,
-                                  const DetectorOptions &Det,
-                                  uint64_t NumSeeds) {
-  pipeline::SweepResult Result;
-  for (uint64_t Seed = 1; Seed <= NumSeeds; ++Seed) {
-    rt::RunOptions Opts;
-    Opts.Seed = Seed;
-    Opts.Detector = Det;
-    Opts.OnReport = [&Result](const race::Detector &D,
-                              const race::RaceReport &Report) {
-      uint64_t Fp = pipeline::raceFingerprint(D.interner(), Report);
-      auto &Finding = Result.Findings[Fp];
-      ++Finding.Occurrences;
-      if (Finding.SampleReport.empty())
-        Finding.SampleReport = race::reportToString(D.interner(), Report);
-    };
-    rt::RunResult R = Run(Opts);
-    ++Result.SeedsRun;
-    Result.SeedsWithRaces += R.RaceCount > 0;
-    Result.SeedsWithLeaks += !R.LeakedGoroutines.empty();
-    Result.SeedsWithPanics += !R.Panics.empty();
-    Result.SeedsDeadlocked += R.Deadlocked;
-    Result.TotalReports += R.RaceCount;
-  }
-  return Result;
-}
-
+// pipeline::SweepResult's operator== compares everything down to each
+// finding's rendered sample report, the strongest equality the pipeline
+// defines.
 TEST(GcDifferential, EveryCorpusPatternRacyAndFixed) {
-  constexpr uint64_t Seeds = 20;
+  pipeline::SweepOptions Off;
+  Off.NumSeeds = 20;
+  Off.Run.Detector = gcOff();
+  // Default interval plus an aggressive one (a collection roughly every
+  // 17 events) so GC actually fires inside these short runs.
+  pipeline::SweepOptions On = Off, On17 = Off;
+  On.Run.Detector = gcOn();
+  On17.Run.Detector = gcOn(17);
   for (const corpus::Pattern &P : corpus::allPatterns()) {
     for (bool Racy : {true, false}) {
-      const Runner &Run = Racy ? P.RunRacy : P.RunFixed;
-      pipeline::SweepResult Base = sweepRunner(Run, gcOff(), Seeds);
-      // Default interval plus an aggressive one (a collection roughly
-      // every 17 events) so GC actually fires inside these short runs.
-      EXPECT_EQ(Base, sweepRunner(Run, gcOn(), Seeds))
+      const pipeline::Runner &Run = Racy ? P.RunRacy : P.RunFixed;
+      pipeline::SweepResult Base = pipeline::sweep(Off, Run);
+      EXPECT_EQ(Base, pipeline::sweep(On, Run))
           << P.Id << (Racy ? " racy" : " fixed") << " default interval";
-      EXPECT_EQ(Base, sweepRunner(Run, gcOn(17), Seeds))
+      EXPECT_EQ(Base, pipeline::sweep(On17, Run))
           << P.Id << (Racy ? " racy" : " fixed") << " interval 17";
     }
   }
@@ -195,7 +168,7 @@ TEST(GcDifferential, ThousandGeneratedPrograms) {
   for (uint64_t ProgramSeed = 1; ProgramSeed <= 1000; ++ProgramSeed) {
     lang::GeneratedProgram G = lang::generateProgram(ProgramSeed);
     ASSERT_TRUE(G.Parsed.ok()) << "program " << ProgramSeed;
-    Runner Run = lang::runner(G.Parsed.Prog);
+    pipeline::Runner Run = lang::runner(G.Parsed.Prog);
 
     for (uint64_t Seed : {1ull, 2ull}) {
       std::vector<uint64_t> FpOff, FpOn;
@@ -509,27 +482,48 @@ TEST(GcBound, VcWordsPlateauWithJoinedWorkers) {
   // shadow cell become dominated the moment the join lands, so GC keeps
   // the clock budget at O(rounds) words (main's own clock still grows
   // one component per fork) while GC-off retains every worker's full
-  // clock — O(rounds^2) words.
-  auto Run = [](DetectorOptions Opts, int Rounds) {
+  // clock — O(rounds^2) words. With \p ReadBack each worker also reads
+  // what it wrote and the parent re-reads it after the join, so accesses
+  // dominate the events as in instrumented workloads.
+  auto Run = [](DetectorOptions Opts, int Rounds, Addr PerRound,
+                bool ReadBack) {
     Detector D(Opts);
     Tid T0 = D.newRootGoroutine();
     for (int I = 0; I < Rounds; ++I) {
       Tid W = D.fork(T0);
-      D.onWrite(W, 0xB000 + static_cast<Addr>(I));
+      Addr First = 0xB000 + static_cast<Addr>(I) * PerRound;
+      for (Addr A = First; A < First + PerRound; ++A) {
+        D.onWrite(W, A);
+        if (ReadBack)
+          D.onRead(W, A);
+      }
       D.finish(W);
       D.join(T0, W);
+      if (ReadBack)
+        for (Addr A = First; A < First + PerRound; ++A)
+          D.onRead(T0, A);
     }
     return D.footprint();
   };
 
   constexpr int Rounds = 200;
-  ShadowFootprint Off = Run(gcOff(), Rounds);
-  ShadowFootprint On = Run(gcOn(64), Rounds);
+  ShadowFootprint Off = Run(gcOff(), Rounds, 1, false);
+  ShadowFootprint On = Run(gcOn(64), Rounds, 1, false);
   EXPECT_GE(Off.VcWords, static_cast<uint64_t>(Rounds) *
                              static_cast<uint64_t>(Rounds) / 4);
   EXPECT_LE(On.VcWords, Off.VcWords / 8);
   EXPECT_LE(On.ShadowCells, static_cast<uint64_t>(Rounds) / 4);
   EXPECT_GE(On.ReclaimedVcWords, Off.VcWords / 2);
+
+  // A long run of the access-dominated shape (27 events a round) at a
+  // hostile collection interval: the live set stays a small multiple of
+  // the live threads, and at least 8x smaller than the GC-off heap.
+  constexpr int LongRounds = 2000;
+  ShadowFootprint LongOff = Run(gcOff(), LongRounds, 8, true);
+  ShadowFootprint LongOn = Run(gcOn(17), LongRounds, 8, true);
+  EXPECT_LE(LongOn.ShadowCells, static_cast<uint64_t>(LongRounds) / 4);
+  EXPECT_LE(LongOn.VcWords, LongOff.VcWords / 8);
+  EXPECT_LE(LongOn.ShadowCells * 8, LongOff.ShadowCells);
 }
 
 TEST(GcBound, PeakFootprintIsMonotoneAcrossCollections) {

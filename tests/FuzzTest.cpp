@@ -654,8 +654,8 @@ class LangFuzz : public ::testing::TestWithParam<uint64_t> {};
 // race, leak, panic, or deadlock) and the differential harness sweeps
 // each one through the interpreter. Any disagreement between the label
 // and the detector is a bug in the generator, the interpreter, or the
-// detector — all three are on trial. bench_lang runs >= 500 programs as
-// the CI gate; this keeps a fast slice in the unit suite.
+// detector — all three are on trial. LangGenerator.DifferentialGroundTruthHolds
+// runs programs 1-500 at 8 seeds; these windows cover the first 120.
 TEST_P(LangFuzz, GeneratedGroundTruthNeverDisagrees) {
   lang::DifferentialOptions Opts;
   Opts.FirstProgram = 1 + (GetParam() - 1) * 60;

@@ -57,31 +57,6 @@ rt::RunResult runOnce(const std::string &Src, uint64_t Seed = 1) {
   return lang::runner(R.Prog)(Opts);
 }
 
-/// pipeline::sweep over a corpus Execute function (the twins are
-/// registered as runners, not plain bodies).
-pipeline::SweepResult
-sweepRunner(const pipeline::SweepOptions &Opts,
-            const std::function<rt::RunResult(const rt::RunOptions &)> &Run) {
-  pipeline::SweepResult Result;
-  for (uint64_t I = 0; I < Opts.NumSeeds; ++I) {
-    rt::RunOptions RunOpts = Opts.Run;
-    RunOpts.Seed = Opts.FirstSeed + I;
-    RunOpts.OnReport = [&Result](const race::Detector &D,
-                                 const race::RaceReport &Report) {
-      uint64_t Fp = pipeline::raceFingerprint(D.interner(), Report);
-      ++Result.Findings[Fp].Occurrences;
-    };
-    rt::RunResult R = Run(RunOpts);
-    ++Result.SeedsRun;
-    Result.SeedsWithRaces += R.RaceCount > 0;
-    Result.SeedsWithLeaks += !R.LeakedGoroutines.empty();
-    Result.SeedsWithPanics += !R.Panics.empty();
-    Result.SeedsDeadlocked += R.Deadlocked;
-    Result.TotalReports += R.RaceCount;
-  }
-  return Result;
-}
-
 std::set<uint64_t> fpSet(const pipeline::SweepResult &R) {
   std::set<uint64_t> S;
   for (const auto &[Fp, F] : R.Findings)
@@ -441,7 +416,7 @@ TEST(LangParity, EveryPortMatchesItsPinAndTwin) {
       const corpus::Pattern *Twin = corpus::findPattern(Port.TwinId);
       ASSERT_NE(Twin, nullptr) << Port.TwinId;
       ASSERT_TRUE(Twin->RunRacy != nullptr);
-      pipeline::SweepResult TwinSweep = sweepRunner(Opts, Twin->RunRacy);
+      pipeline::SweepResult TwinSweep = pipeline::sweep(Opts, Twin->RunRacy);
       EXPECT_EQ(fpSet(TwinSweep), fpSet(Sweep))
           << "interpreted fingerprints must be bit-identical to the "
              "compiled twin's";
@@ -470,12 +445,9 @@ TEST(LangParity, PinnedCorpusFingerprintsAgree) {
 }
 
 TEST(LangParity, SerialAndParallelExecutorsAreBitIdentical) {
-  for (const char *Id :
-       {"loop-index-capture", "waitgroup-add-inside", "multi-component"}) {
-    SCOPED_TRACE(Id);
-    const lang::LangPort *Port = lang::findLangPort(Id);
-    ASSERT_NE(Port, nullptr);
-    std::string Path = lang::findTestdataPath(Port->File);
+  for (const lang::LangPort &Port : lang::langPorts()) {
+    SCOPED_TRACE(Port.Id);
+    std::string Path = lang::findTestdataPath(Port.File);
     ASSERT_FALSE(Path.empty());
     lang::ParseResult Parsed = lang::loadProgramFile(Path);
     ASSERT_TRUE(Parsed.ok());
@@ -518,12 +490,13 @@ TEST(LangGenerator, DeterministicAndWellFormed) {
 
 TEST(LangGenerator, DifferentialGroundTruthHolds) {
   lang::DifferentialOptions Opts;
-  Opts.NumPrograms = 40;
-  Opts.SweepSeeds = 6;
+  Opts.NumPrograms = 500;
+  Opts.SweepSeeds = 8;
   lang::DifferentialOutcome Out = lang::differentialSweep(Opts);
-  EXPECT_EQ(Out.Programs, 40u);
+  EXPECT_EQ(Out.Programs, 500u);
   EXPECT_TRUE(Out.ok()) << Out.Misses << " misses, " << Out.FalsePositives
-                        << " false positives, " << Out.Panics << " panics, "
+                        << " false positives, " << Out.ParseFailures
+                        << " parse failures, " << Out.Panics << " panics, "
                         << Out.Deadlocks << " deadlocks, " << Out.Leaks
                         << " leaks";
   EXPECT_GT(Out.RacyPrograms, 0u);

@@ -152,38 +152,74 @@ void sweptBody() {
   Wg.wait();
 }
 
-/// sweptBody over \p NumSeeds seeds on \p Threads workers, one attempt
-/// per seed: the plain parallel sweep, with no retry to hide a fault.
-sweep::ResilientResult sweepOnThreads(uint64_t NumSeeds, unsigned Threads) {
+// A producer/consumer service: channel handoffs to three workers, locked
+// counters, a WaitGroup join, and one unsynchronized write that races
+// main's read.
+void serviceBody() {
+  rt::Shared<int> Counter("counter");
+  rt::Shared<int> Racy("stats.last");
+  rt::Mutex Mu("mu");
+  rt::Chan<int> Work(4, "work");
+  rt::WaitGroup Wg("wg");
+  Wg.add(3);
+  for (int W = 0; W < 3; ++W)
+    rt::go("worker", [&] {
+      for (;;) {
+        auto [Item, Ok] = Work.recv();
+        if (!Ok)
+          break;
+        for (int I = 0; I < 8; ++I) {
+          rt::LockGuard<rt::Mutex> G(Mu);
+          Counter = Counter + Item;
+        }
+        Racy = Item;
+      }
+      Wg.done();
+    });
+  for (int I = 1; I <= 24; ++I)
+    Work.send(I);
+  int Last = Racy;
+  (void)Last;
+  Work.close();
+  Wg.wait();
+}
+
+/// \p Body over \p NumSeeds seeds on \p Threads workers, one attempt per
+/// seed: the plain parallel sweep, with no retry to hide a fault.
+sweep::ResilientResult sweepOnThreads(void (*Body)(), uint64_t NumSeeds,
+                                      unsigned Threads) {
   sweep::ResilientOptions Opts;
   Opts.NumSeeds = NumSeeds;
   Opts.Threads = Threads;
   Opts.MaxAttempts = 1;
-  Opts.Body = corpus::hostBody(sweptBody);
+  Opts.Body = corpus::hostBody(Body);
   return sweep::resilient(Opts);
 }
 
 TEST(MultiInstance, ParallelSweepMatchesSerialSweep) {
-  pipeline::SweepOptions SerialOpts;
-  SerialOpts.NumSeeds = 64;
-  pipeline::SweepResult Serial = pipeline::sweep(SerialOpts, sweptBody);
+  for (void (*Body)() : {sweptBody, serviceBody}) {
+    pipeline::SweepOptions SerialOpts;
+    SerialOpts.NumSeeds = 64;
+    pipeline::SweepResult Serial = pipeline::sweep(SerialOpts, Body);
 
-  // Counters and findings agree key by key, including the deterministic
-  // sample choice (lowest reporting seed), so the parallel executor is a
-  // drop-in.
-  sweep::ResilientResult Parallel = sweepOnThreads(64, 4);
-  EXPECT_TRUE(Parallel.Quarantined.empty());
-  EXPECT_EQ(Parallel.Sweep, Serial);
-
-  // The body is genuinely schedule-dependent — the sweep exists because
-  // single runs miss races (§3.1).
-  EXPECT_GT(Serial.SeedsWithRaces, 0u);
-  EXPECT_LT(Serial.SeedsWithRaces, Serial.SeedsRun);
+    // Counters and findings agree key by key, including the deterministic
+    // sample choice (lowest reporting seed), so the parallel executor is
+    // a drop-in.
+    sweep::ResilientResult Parallel = sweepOnThreads(Body, 64, 4);
+    EXPECT_TRUE(Parallel.Quarantined.empty());
+    EXPECT_EQ(Parallel.Sweep, Serial);
+    EXPECT_GT(Serial.SeedsWithRaces, 0u);
+    // sweptBody is genuinely schedule-dependent — the sweep exists
+    // because single runs miss races (§3.1).
+    if (Body == sweptBody) {
+      EXPECT_LT(Serial.SeedsWithRaces, Serial.SeedsRun);
+    }
+  }
 }
 
 TEST(MultiInstance, ParallelSweepThreadCountDoesNotChangeResults) {
-  sweep::ResilientResult One = sweepOnThreads(32, 1);
-  sweep::ResilientResult Eight = sweepOnThreads(32, 8);
+  sweep::ResilientResult One = sweepOnThreads(sweptBody, 32, 1);
+  sweep::ResilientResult Eight = sweepOnThreads(sweptBody, 32, 8);
   EXPECT_TRUE(One.Quarantined.empty());
   EXPECT_TRUE(Eight.Quarantined.empty());
   EXPECT_EQ(One.Sweep, Eight.Sweep);

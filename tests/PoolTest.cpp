@@ -27,7 +27,10 @@
 //    (with honest PoolStats) where it does not; RLIMIT_AS is headroom
 //    above the host's size, so a large host's workers can still allocate;
 //  * RESUME — journals remain shared with the other executors in BOTH
-//    directions.
+//    directions;
+//  * TRACING — a traced sweep equals its untraced twin on every executor,
+//    journal bytes included, and the pooled export carries stitched
+//    worker spans.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +39,9 @@
 #include "obs/Metrics.h"
 #include "obs/Timeline.h"
 #include "rt/Instr.h"
+#include "rt/Sync.h"
 #include "support/Shm.h"
+#include "sweep/Adaptive.h"
 #include "sweep/Cgroup.h"
 #include "sweep/Pool.h"
 
@@ -398,6 +403,144 @@ TEST(Pool, StitchedTimelineMatchesForkFreeSlotSpans) {
   EXPECT_TRUE(SawWorkerTrack);
 }
 
+/// Structural soundness of an exported Chrome trace: the envelope, a known
+/// phase on every event, and begins that balance ends (the RAII scopes
+/// guarantee it at record time; this checks the export).
+bool chromeTraceIsSound(const std::string &Json) {
+  if (Json.rfind("{\"traceEvents\":[", 0) != 0)
+    return false;
+  size_t Last = Json.find_last_not_of(" \n\r\t");
+  if (Last == std::string::npos || Json[Last] != '}')
+    return false;
+  size_t Begins = 0, Ends = 0;
+  for (size_t Pos = 0; (Pos = Json.find("\"ph\":\"", Pos)) != std::string::npos;
+       Pos += 6) {
+    char Ph = Pos + 6 < Json.size() ? Json[Pos + 6] : '\0';
+    Begins += Ph == 'B';
+    Ends += Ph == 'E';
+    if (Ph != 'B' && Ph != 'E' && Ph != 'i' && Ph != 'C' && Ph != 'M')
+      return false;
+  }
+  return Begins == Ends && Begins > 0;
+}
+
+/// A race that manifests on some schedules only: the publisher's write is
+/// ordered before main's read exactly when main takes the lock after the
+/// publisher released it. A schedule that moves changes the verdict.
+void flakyBody() {
+  rt::Shared<int> X("x");
+  rt::Mutex Mu("mu");
+  rt::WaitGroup Wg("wg");
+  Wg.add(1);
+  rt::go("publisher", [&] {
+    X = 7;
+    { rt::LockGuard<rt::Mutex> G(Mu); }
+    Wg.done();
+  });
+  { rt::LockGuard<rt::Mutex> G(Mu); }
+  int Seen = X;
+  (void)Seen;
+  Wg.wait();
+}
+
+// The flight recorder's contract: a traced sweep is indistinguishable,
+// result-wise, from the same sweep untraced, on every executor.
+TEST(Pool, TracedSweepsMatchUntracedOnEveryExecutor) {
+  constexpr uint64_t Seeds = 96;
+  pipeline::SweepOptions SO;
+  SO.NumSeeds = Seeds;
+  pipeline::SweepResult Plain = pipeline::sweep(SO, flakyBody);
+  ASSERT_GT(Plain.SeedsWithRaces, 0u);
+  ASSERT_LT(Plain.SeedsWithRaces, Plain.SeedsRun);
+  {
+    obs::Timeline Tl;
+    pipeline::SweepOptions Traced = SO;
+    Traced.Timeline = &Tl;
+    EXPECT_EQ(pipeline::sweep(Traced, flakyBody), Plain) << "pipeline::sweep";
+  }
+
+  // The parallel sweep (one attempt a seed) also equals the serial one.
+  {
+    sweep::ResilientOptions PO;
+    PO.NumSeeds = Seeds;
+    PO.Threads = 4;
+    PO.MaxAttempts = 1;
+    PO.Body = corpus::hostBody(flakyBody);
+    obs::Timeline Tl;
+    sweep::ResilientOptions Traced = PO;
+    Traced.Timeline = &Tl;
+    for (const sweep::ResilientOptions &O : {PO, Traced}) {
+      sweep::ResilientResult R = sweep::resilient(O);
+      EXPECT_EQ(R.Sweep, Plain) << "parallel, traced=" << (O.Timeline != nullptr);
+      EXPECT_TRUE(R.Quarantined.empty());
+    }
+  }
+
+  // The adaptive planner must not see the recorder.
+  {
+    sweep::AdaptiveOptions AO;
+    AO.NumRuns = Seeds;
+    AO.Threads = 2;
+    AO.Body = corpus::hostBody(flakyBody);
+    sweep::AdaptiveResult PlainA = sweep::adaptive(AO);
+    obs::Timeline Tl;
+    sweep::AdaptiveOptions Traced = AO;
+    Traced.Timeline = &Tl;
+    EXPECT_EQ(sweep::adaptive(Traced), PlainA) << "adaptive";
+  }
+
+  sweep::ResilientOptions RO;
+  RO.NumSeeds = Seeds;
+  RO.Threads = 4;
+  RO.Body = corpus::hostBody(flakyBody);
+  sweep::ResilientResult PlainR = sweep::resilient(RO);
+  {
+    obs::Timeline Tl;
+    sweep::ResilientOptions Traced = RO;
+    Traced.Timeline = &Tl;
+    EXPECT_EQ(sweep::resilient(Traced), PlainR) << "resilient";
+  }
+
+  sweep::PoolOptions PO;
+  PO.Base = RO;
+  sweep::PoolResult PlainPool = sweep::pooled(PO);
+  EXPECT_EQ(PlainPool.Res, PlainR) << "pooled vs resilient";
+  obs::Timeline PoolTl;
+  sweep::PoolOptions TracedPO = PO;
+  TracedPO.Base.Timeline = &PoolTl;
+  EXPECT_EQ(sweep::pooled(TracedPO).Res, PlainPool.Res) << "pooled";
+
+  // Tracing does not change the journal's bytes. Only a single worker
+  // appends in a deterministic order, so compare with one.
+  std::string PlainJournal = tempPath("untraced.ckpt");
+  std::string TracedJournal = tempPath("traced.ckpt");
+  std::remove(PlainJournal.c_str());
+  std::remove(TracedJournal.c_str());
+  sweep::PoolOptions SerialPlain = PO;
+  SerialPlain.Base.Threads = 1;
+  SerialPlain.Base.CheckpointPath = PlainJournal;
+  sweep::pooled(SerialPlain);
+  obs::Timeline JournalTl;
+  sweep::PoolOptions SerialTraced = SerialPlain;
+  SerialTraced.Base.CheckpointPath = TracedJournal;
+  SerialTraced.Base.Timeline = &JournalTl;
+  sweep::pooled(SerialTraced);
+  std::vector<uint8_t> PlainBytes = readFileBytes(PlainJournal);
+  EXPECT_FALSE(PlainBytes.empty());
+  EXPECT_EQ(readFileBytes(TracedJournal), PlainBytes);
+  std::remove(PlainJournal.c_str());
+  std::remove(TracedJournal.c_str());
+
+  // The pooled export is sound and carries stitched worker spans under a
+  // real pid.
+  EXPECT_TRUE(chromeTraceIsSound(PoolTl.chromeTraceJson()));
+  uint64_t WorkerEvents = 0;
+  for (size_t I = 0; I < PoolTl.numTracks(); ++I)
+    if (PoolTl.trackAt(I).pid() != 0)
+      WorkerEvents += PoolTl.trackAt(I).size();
+  EXPECT_GT(WorkerEvents, 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Lethal faults: classification, poison containment, salvage
 //===----------------------------------------------------------------------===//
@@ -474,6 +617,100 @@ TEST(Pool, LethalDeathsClassifiedAndContained) {
   }
   std::remove(Journal.c_str());
   std::remove(CleanJournal.c_str());
+}
+
+/// A fleet-sized pooled sweep: 100 slots on 4 workers, 3 attempts each.
+sweep::PoolOptions fleetOptions(sweep::Runner Body) {
+  sweep::PoolOptions PO = baseOptions(std::move(Body), 100);
+  PO.Base.Threads = 4;
+  PO.Base.MaxAttempts = 3;
+  return PO;
+}
+
+TEST(Pool, FleetSweepParityAndWarmRunsForkNothing) {
+  sweep::PoolOptions PO = fleetOptions(corpus::hostBody(racyBody));
+  sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
+  EXPECT_EQ(sweep::pooled(PO).Res, InProcess) << "multi-worker pool diverged";
+  sweep::PoolOptions Serial = PO;
+  Serial.Base.Threads = 1;
+  EXPECT_EQ(sweep::pooled(Serial).Res, InProcess)
+      << "single-worker pool diverged";
+
+  // A warm PoolHost (one that already served the same spec) runs it again
+  // on the workers it forked for the first run.
+  sweep::PoolHostOptions HO;
+  HO.Workers = PO.Base.Threads;
+  HO.Resolve = [Base = PO.Base](const uint8_t *, size_t,
+                                sweep::ResilientOptions &Out) {
+    Out = Base;
+    return true;
+  };
+  sweep::PoolHost Host(std::move(HO));
+  sweep::PoolRunRequest Job;
+  EXPECT_EQ(Host.run(Job).Res, InProcess) << "first host run diverged";
+  for (int Rep = 0; Rep < 3; ++Rep) {
+    sweep::PoolResult Warm = Host.run(Job);
+    EXPECT_EQ(Warm.Res, InProcess) << "warm run " << Rep << " diverged";
+    EXPECT_EQ(Warm.Stats.WorkerSpawns, 0u) << "warm run " << Rep << " forked";
+  }
+  Host.shutdown();
+}
+
+// Containment at a fleet's lethal fault rates: with only process-lethal
+// kinds planned (equal weights), no slot the plan left alone loses or
+// changes its record, and at 5% transient crashers respawn and complete,
+// so at most 1% of the slots quarantine.
+TEST(Pool, LethalFaultRatesNeverLoseANonFaultedRecord) {
+  sweep::PoolOptions Clean = fleetOptions(corpus::hostBody(racyBody));
+  std::string CleanJournal = tempPath("fleet-clean.ckpt");
+  std::remove(CleanJournal.c_str());
+  sweep::ResilientOptions Baseline = Clean.Base;
+  Baseline.CheckpointPath = CleanJournal;
+  ASSERT_TRUE(sweep::resilient(Baseline).CheckpointError.empty());
+  sweep::CheckpointLoad CleanLoad;
+  std::string Error;
+  ASSERT_TRUE(sweep::loadCheckpoint(CleanJournal, CleanLoad, Error)) << Error;
+  std::remove(CleanJournal.c_str());
+
+  for (double Rate : {0.0, 0.01, 0.05, 0.20}) {
+    SCOPED_TRACE(Rate);
+    inject::FaultPlanOptions PlanOpts;
+    PlanOpts.PlanSeed = 2027;
+    PlanOpts.FirstSeed = 1;
+    PlanOpts.NumSeeds = Clean.Base.NumSeeds;
+    PlanOpts.FaultRate = Rate;
+    for (size_t K = 0; K < inject::NumFaultKinds; ++K)
+      PlanOpts.Weights[K] =
+          inject::isLethalFault(static_cast<inject::FaultKind>(K)) ? 1.0
+                                                                   : 0.0;
+    inject::FaultPlan Plan = inject::makeFaultPlan(PlanOpts);
+
+    sweep::PoolOptions PO =
+        fleetOptions(inject::instrumentedRunner(racyBody, Plan));
+    std::string Journal = tempPath("fleet-rate.ckpt");
+    std::remove(Journal.c_str());
+    PO.Base.CheckpointPath = Journal;
+    sweep::PoolResult R = sweep::pooled(PO);
+    ASSERT_TRUE(R.Res.CheckpointError.empty()) << R.Res.CheckpointError;
+    sweep::CheckpointLoad Load;
+    ASSERT_TRUE(sweep::loadCheckpoint(Journal, Load, Error)) << Error;
+    std::remove(Journal.c_str());
+
+    std::map<uint64_t, sweep::SlotRecord> BySlot;
+    for (const sweep::SlotRecord &Rec : Load.Records)
+      BySlot[Rec.Slot] = Rec;
+    for (const sweep::SlotRecord &CleanRec : CleanLoad.Records) {
+      if (Plan.faulted(CleanRec.Seed))
+        continue;
+      auto It = BySlot.find(CleanRec.Slot);
+      ASSERT_NE(It, BySlot.end()) << "lost slot " << CleanRec.Slot;
+      EXPECT_EQ(It->second, CleanRec) << "slot " << CleanRec.Slot;
+    }
+    if (Rate == 0.05) {
+      EXPECT_LE(R.Res.Quarantined.size() * 100, PO.Base.NumSeeds)
+          << "completion below 0.99";
+    }
+  }
 }
 
 TEST(Pool, CrashMidCommitSalvagesThroughATinyArena) {

@@ -509,16 +509,23 @@ TEST(Resilient, FaultFreeParityWithPipelineSweep) {
   }
 }
 
-/// The chaos recipe shared by the executor tests: a moderately faulted
-/// plan over racyBody with every fault kind enabled. Watchdog budget is
-/// generous on purpose — see the calibration note in the file comment.
-sweep::ResilientOptions chaosOptions(inject::FaultPlan &PlanOut) {
+/// The chaos plan shared by the executor tests: a moderately faulted plan
+/// with every in-process fault kind enabled.
+inject::FaultPlanOptions chaosPlan() {
   inject::FaultPlanOptions PO;
   PO.PlanSeed = 7;
   PO.FirstSeed = 1;
   PO.NumSeeds = 40;
   PO.FaultRate = 0.3;
   PO.LatencyMicros = 50;
+  return PO;
+}
+
+/// The chaos recipe: \p PO's plan over racyBody. Watchdog budget is
+/// generous on purpose — see the calibration note in the file comment.
+sweep::ResilientOptions
+chaosOptions(inject::FaultPlan &PlanOut,
+             const inject::FaultPlanOptions &PO = chaosPlan()) {
   PlanOut = inject::makeFaultPlan(PO);
 
   sweep::ResilientOptions RO;
@@ -572,13 +579,11 @@ TEST(Resilient, ThreadCountInvarianceUnderFaults) {
   }
 }
 
-// The acceptance property: under ANY seeded FaultPlan, every slot whose
-// run was not disturbed produces a record bit-identical to the fault-free
-// sweep's record for that slot. Checked through the journals, which hold
-// the full per-slot evidence.
-TEST(Resilient, NonFaultedSlotsBitIdenticalToFaultFreeSweep) {
-  inject::FaultPlan Plan;
-  sweep::ResilientOptions Faulted = chaosOptions(Plan);
+/// Sweeps \p Faulted and its fault-free twin with journals, and checks
+/// that every slot whose run \p Plan did not disturb has a record
+/// bit-identical to the fault-free one, and that no slot is lost.
+void expectNonFaultedSlotsBitIdentical(sweep::ResilientOptions Faulted,
+                                       const inject::FaultPlan &Plan) {
   std::string FaultedPath = tempPath("faulted.ckpt");
   std::string CleanPath = tempPath("clean.ckpt");
   std::remove(FaultedPath.c_str());
@@ -622,6 +627,29 @@ TEST(Resilient, NonFaultedSlotsBitIdenticalToFaultFreeSweep) {
   EXPECT_GT(Compared, 0u);
   std::remove(FaultedPath.c_str());
   std::remove(CleanPath.c_str());
+}
+
+// The acceptance property: under ANY seeded FaultPlan, every slot whose
+// run was not disturbed produces a record bit-identical to the fault-free
+// sweep's record for that slot. Checked through the journals, which hold
+// the full per-slot evidence: the chaos plan on one thread, then a fleet's
+// fault rates (0, 1, 5 and 20%) on four.
+TEST(Resilient, NonFaultedSlotsBitIdenticalToFaultFreeSweep) {
+  inject::FaultPlan Plan;
+  expectNonFaultedSlotsBitIdentical(chaosOptions(Plan), Plan);
+
+  for (double Rate : {0.0, 0.01, 0.05, 0.20}) {
+    SCOPED_TRACE(Rate);
+    inject::FaultPlanOptions PO = chaosPlan();
+    PO.PlanSeed = 1009;
+    PO.NumSeeds = 48;
+    PO.FaultRate = Rate;
+    PO.LatencyMicros = 100;
+    sweep::ResilientOptions RO = chaosOptions(Plan, PO);
+    RO.Threads = 4;
+    RO.Run.WatchdogMillis = rt::calibratedWatchdogBudgetMillis(400);
+    expectNonFaultedSlotsBitIdentical(RO, Plan);
+  }
 }
 
 TEST(Resilient, TruncatedJournalResumesBitIdentical) {

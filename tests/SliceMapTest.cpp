@@ -126,6 +126,35 @@ TEST(GoSlice, ConcurrentAppendsRaceOnMeta) {
   EXPECT_GT(Result.RaceCount, 0u);
 }
 
+// A racy append must stay a detected race, never C++ undefined behaviour:
+// an append that resumes after a sibling filled the backing must not store
+// past its end, so len never exceeds cap.
+TEST(GoSlice, ConcurrentAppendsNeverOverrunTheBacking) {
+  for (double Preempt : {0.2, 0.5, 0.95}) {
+    for (uint64_t Seed = 1; Seed <= 300; ++Seed) {
+      RunOptions Opts = withSeed(Seed);
+      Opts.PreemptProbability = Preempt;
+      size_t Len = 0, Cap = 0;
+      Runtime RT(Opts);
+      RT.run([&] {
+        auto S = std::make_shared<GoSlice<int>>(GoSlice<int>("s"));
+        WaitGroup Wg;
+        for (int W = 0; W < 3; ++W) {
+          Wg.add(1);
+          go("appender", [S, W, &Wg] {
+            S->append(W);
+            Wg.done();
+          });
+        }
+        Wg.wait();
+        Len = S->len();
+        Cap = S->capacity();
+      });
+      ASSERT_LE(Len, Cap) << "seed " << Seed << " preempt " << Preempt;
+    }
+  }
+}
+
 TEST(GoSlice, CopyFromCopiesMinAndReadsBothSides) {
   RunResult Result = runBody(20, [&] {
     auto Src = GoSlice<int>::make("src", 5);
