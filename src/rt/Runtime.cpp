@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <condition_variable>
 #include <csignal>
 #include <exception>
 #include <mutex>
@@ -326,13 +327,19 @@ void Runtime::runScheduler() {
   WatchdogArmed = true;
   WatchdogProgress.store(0, std::memory_order_relaxed);
 
-  std::atomic<bool> MonitorStop{false};
+  // The monitor waits on a condition variable, not in a sleep, so the
+  // disarm below wakes it at once instead of waiting out a poll.
+  struct MonitorStop {
+    std::mutex M;
+    std::condition_variable C;
+    bool Stop = false;
+  } MS;
   pthread_t Target = pthread_self();
-  std::thread Monitor([this, &MonitorStop, Target, Budget, Poll] {
+  std::thread Monitor([this, &MS, Target, Budget, Poll] {
     uint64_t LastStamp = WatchdogProgress.load(std::memory_order_relaxed);
     auto LastChange = Clock::now();
-    while (!MonitorStop.load(std::memory_order_relaxed)) {
-      std::this_thread::sleep_for(Poll);
+    std::unique_lock<std::mutex> Lock(MS.M);
+    while (!MS.C.wait_for(Lock, Poll, [&] { return MS.Stop; })) {
       uint64_t Stamp = WatchdogProgress.load(std::memory_order_relaxed);
       auto Now = Clock::now();
       if (Stamp != LastStamp) {
@@ -356,7 +363,11 @@ void Runtime::runScheduler() {
   // that lands after this line sees HardAbortArmed == 0 and is a no-op.
   HardAbortArmed = 0;
   WatchdogArmed = false;
-  MonitorStop.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> Lock(MS.M);
+    MS.Stop = true;
+  }
+  MS.C.notify_one();
   Monitor.join();
 }
 

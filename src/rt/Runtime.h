@@ -145,7 +145,8 @@ struct RunOptions {
   uint64_t WatchdogMillis = 0;
   /// Monitor-thread poll interval for the hard watchdog path. The
   /// worst-case recovery latency for a never-yielding body is about
-  /// WatchdogMillis + WatchdogPollMillis.
+  /// WatchdogMillis + WatchdogPollMillis. A run that ends wakes the
+  /// monitor at once; it never waits out a poll.
   uint64_t WatchdogPollMillis = 5;
   /// Optional deterministic choice hook: when set, EVERY scheduling
   /// choice point (which runnable goroutine to resume, which ready select

@@ -33,6 +33,20 @@ std::string renderProgressLine(const sweep::SlotRecord &R) {
   return support::renderJson(V);
 }
 
+/// Each slot's first journaled record, for slots below \p NumSeeds: the
+/// records a resuming executor trusts.
+std::vector<const sweep::SlotRecord *>
+firstRecords(const sweep::CheckpointLoad &Load, uint64_t NumSeeds) {
+  std::vector<uint8_t> Seen(NumSeeds, 0);
+  std::vector<const sweep::SlotRecord *> Out;
+  for (const sweep::SlotRecord &R : Load.Records)
+    if (R.Slot < NumSeeds && !Seen[R.Slot]) {
+      Seen[R.Slot] = 1;
+      Out.push_back(&R);
+    }
+  return Out;
+}
+
 /// The terminal result document. DETERMINISTIC by construction — no
 /// wall-clock, no daemon-run-relative counters (ResumedSlots would
 /// differ between an interrupted and an uninterrupted history, so
@@ -76,23 +90,18 @@ Json makeResultJson(const JobSpec &Spec, const sweep::ResilientResult &Res,
   uint64_t Retries = 0;
   sweep::CheckpointLoad Load;
   std::string Error;
-  if (sweep::loadCheckpoint(JournalPath, Load, Error)) {
-    std::vector<uint8_t> Seen(Spec.NumSeeds, 0);
-    for (const sweep::SlotRecord &R : Load.Records)
-      if (R.Slot < Spec.NumSeeds && !Seen[R.Slot]) {
-        Seen[R.Slot] = 1;
-        if (R.Attempts)
-          Retries += R.Attempts - 1;
-      }
-  }
+  if (sweep::loadCheckpoint(JournalPath, Load, Error))
+    for (const sweep::SlotRecord *R : firstRecords(Load, Spec.NumSeeds))
+      if (R->Attempts)
+        Retries += R->Attempts - 1;
   V.set("retries", Json::unsignedInt(Retries));
   return V;
 }
 
-Json makeFailedResultJson(const JobSpec &Spec, const std::string &Error) {
+Json makeFailedResultJson(uint64_t SpecHash, const std::string &Error) {
   Json V = Json::object();
   V.set("state", Json::string("failed"));
-  V.set("spec_hash", Json::unsignedInt(Spec.hash()));
+  V.set("spec_hash", Json::unsignedInt(SpecHash));
   V.set("error", Json::string(Error));
   return V;
 }
@@ -113,6 +122,15 @@ uint64_t queryFrom(const std::string &Target, std::string &Path) {
        ++I)
     N = N * 10 + static_cast<uint64_t>(Target[I] - '0');
   return N;
+}
+
+/// A job's status before it runs.
+JobStatus queuedStatus(const std::string &Id, const JobSpec &Spec) {
+  JobStatus S;
+  S.Id = Id;
+  S.SpecHash = Spec.hash();
+  S.SlotsTotal = Spec.NumSeeds;
+  return S;
 }
 
 } // namespace
@@ -144,36 +162,24 @@ bool SweepService::start(std::string &Error) {
     return false;
   NextSeq = Store.maxSequence() + 1;
   for (JobStore::Recovered &R : Recovered) {
-    JobRec Rec;
-    Rec.Spec = R.Spec;
-    Rec.SpecHash = R.Spec.hash();
+    JobStatus &S = Jobs[R.Id] = queuedStatus(R.Id, R.Spec);
     if (R.Terminal) {
-      Rec.ResultText = std::move(R.ResultText);
       Json V;
       std::string Ignored;
-      Rec.State = JobState::Done;
-      if (support::parseJson(Rec.ResultText, V, Ignored) &&
+      S.State = JobState::Done;
+      if (support::parseJson(R.ResultText, V, Ignored) &&
           V.get("state").asString("") == "failed") {
-        Rec.State = JobState::Failed;
-        Rec.Error = V.get("error").asString("");
+        S.State = JobState::Failed;
+        S.Error = V.get("error").asString("");
       }
-      Rec.SlotsDone = Rec.Spec.NumSeeds;
+      S.SlotsDone = S.SlotsTotal;
     } else if (!R.SpecError.empty()) {
       // A spec this service once accepted no longer parses: terminal
       // failure, not a silent skip (and not a crash loop).
-      Rec.State = JobState::Failed;
-      Rec.Error = R.SpecError;
-      std::string WriteError;
-      Store.writeAtomic(
-          Store.paths(R.Id).Result,
-          support::renderJsonPretty(makeFailedResultJson(Rec.Spec, Rec.Error)),
-          WriteError);
+      failJob(R.Id, S.SpecHash, R.SpecError);
     } else {
-      Rec.State = JobState::Queued;
-      Rec.Resume = true;
-      Queue.push_back(R.Id);
+      Queue.push_back({R.Id, std::move(R.Spec)});
     }
-    Jobs.emplace(R.Id, std::move(Rec));
   }
 
   //===--------------------------------------------------------------------===//
@@ -244,31 +250,15 @@ bool SweepService::status(const std::string &Id, JobStatus &Out) const {
   auto It = Jobs.find(Id);
   if (It == Jobs.end())
     return false;
-  const JobRec &R = It->second;
-  Out.Id = Id;
-  Out.State = R.State;
-  Out.SpecHash = R.SpecHash;
-  Out.SlotsTotal = R.Spec.NumSeeds;
-  Out.SlotsDone = R.SlotsDone;
-  Out.RunsAttempted = R.RunsAttempted;
-  Out.Error = R.Error;
+  Out = It->second;
   return true;
 }
 
 std::vector<JobStatus> SweepService::statusAll() const {
   std::vector<JobStatus> Out;
   std::lock_guard<std::mutex> Lock(Mu);
-  for (const auto &E : Jobs) {
-    JobStatus S;
-    S.Id = E.first;
-    S.State = E.second.State;
-    S.SpecHash = E.second.SpecHash;
-    S.SlotsTotal = E.second.Spec.NumSeeds;
-    S.SlotsDone = E.second.SlotsDone;
-    S.RunsAttempted = E.second.RunsAttempted;
-    S.Error = E.second.Error;
-    Out.push_back(std::move(S));
-  }
+  for (const auto &E : Jobs)
+    Out.push_back(E.second);
   return Out;
 }
 
@@ -329,13 +319,13 @@ bool SweepService::handleHttp(const obs::HttpRequest &Req,
     size_t Slash = Rest.find('/');
     std::string Id = Rest.substr(0, Slash);
     std::string Sub = Slash == std::string::npos ? "" : Rest.substr(Slash);
+    JobStatus S;
+    if (!status(Id, S)) {
+      Resp.Status = 404;
+      Resp.Body = "unknown job\n";
+      return true;
+    }
     if (Sub == "") {
-      JobStatus S;
-      if (!status(Id, S)) {
-        Resp.Status = 404;
-        Resp.Body = "unknown job\n";
-        return true;
-      }
       Json V = Json::object();
       V.set("id", Json::string(S.Id));
       V.set("state", Json::string(jobStateName(S.State)));
@@ -349,36 +339,29 @@ bool SweepService::handleHttp(const obs::HttpRequest &Req,
       Resp.Body = support::renderJson(V) + "\n";
       return true;
     }
+    // Both endpoints below read the job directory: the journal and
+    // result.json are the only copies of a job's progress and verdict.
     if (Sub == "/progress") {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Jobs.find(Id);
-      if (It == Jobs.end()) {
-        Resp.Status = 404;
-        Resp.Body = "unknown job\n";
-        return true;
-      }
-      const std::vector<std::string> &Lines = It->second.Progress;
-      std::string Body;
-      for (size_t I = From; I < Lines.size(); ++I) {
-        Body += Lines[I];
-        Body += '\n';
+      sweep::CheckpointLoad Load;
+      std::string Ignored;
+      if (!sweep::loadCheckpoint(Store.paths(Id).Journal, Load, Ignored))
+        Load.Records.clear(); // none yet, or none readable
+      for (size_t I = From; I < Load.Records.size(); ++I) {
+        Resp.Body += renderProgressLine(Load.Records[I]);
+        Resp.Body += '\n';
       }
       Resp.ContentType = "application/jsonlines";
-      Resp.Body = std::move(Body);
       Resp.ExtraHeaders.push_back(
-          {"X-Next-Index", std::to_string(Lines.size())});
+          {"X-Next-Index", std::to_string(Load.Records.size())});
       return true;
     }
     if (Sub == "/result") {
-      std::lock_guard<std::mutex> Lock(Mu);
-      auto It = Jobs.find(Id);
-      if (It == Jobs.end() || It->second.ResultText.empty()) {
+      if (!JobStore::readFile(Store.paths(Id).Result, Resp.Body)) {
         Resp.Status = 404;
-        Resp.Body = "no result (job unknown or not terminal)\n";
+        Resp.Body = "no result (job not terminal)\n";
         return true;
       }
       Resp.ContentType = "application/json";
-      Resp.Body = It->second.ResultText;
       return true;
     }
     Resp.Status = 404;
@@ -446,11 +429,8 @@ void SweepService::handleAdmit(const obs::HttpRequest &Req,
     return;
   }
   ++NextSeq;
-  JobRec Rec;
-  Rec.Spec = std::move(Spec);
-  Rec.SpecHash = Rec.Spec.hash();
-  Jobs.emplace(Id, std::move(Rec));
-  Queue.push_back(Id);
+  Jobs.emplace(Id, queuedStatus(Id, Spec));
+  Queue.push_back({Id, std::move(Spec)});
   Cv.notify_all();
 
   Json Out = Json::object();
@@ -467,7 +447,7 @@ void SweepService::handleAdmit(const obs::HttpRequest &Req,
 
 void SweepService::schedulerMain() {
   for (;;) {
-    std::string Id;
+    QueuedJob Job;
     {
       std::unique_lock<std::mutex> Lock(Mu);
       Cv.wait(Lock, [this] {
@@ -475,11 +455,11 @@ void SweepService::schedulerMain() {
       });
       if (StopRequested.load())
         break;
-      Id = Queue.front();
+      Job = std::move(Queue.front());
       Queue.pop_front();
     }
     CancelCurrent.store(false);
-    runJob(Id);
+    runJob(Job.Id, Job.Spec);
 
     // Publish at the job boundary (the owner-driven cadence the
     // threading model requires).
@@ -515,41 +495,35 @@ void SweepService::schedulerMain() {
   Cv.notify_all();
 }
 
-bool SweepService::finishJob(const std::string &Id, JobRec &Rec,
-                             const std::string &FailError) {
-  (void)Rec;
-  std::string Text;
+void SweepService::failJob(const std::string &Id, uint64_t SpecHash,
+                           const std::string &Error) {
+  std::string WriteError;
+  Store.writeAtomic(
+      Store.paths(Id).Result,
+      support::renderJsonPretty(makeFailedResultJson(SpecHash, Error)),
+      WriteError);
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    JobRec &R = Jobs[Id];
-    if (FailError.empty())
-      return true; // success path renders in runJob (needs the result)
-    R.State = JobState::Failed;
-    R.Error = FailError;
-    Text = support::renderJsonPretty(makeFailedResultJson(R.Spec, FailError));
-    R.ResultText = Text;
+    JobStatus &S = Jobs[Id];
+    S.State = JobState::Failed;
+    S.Error = Error;
   }
-  std::string WriteError;
-  Store.writeAtomic(Store.paths(Id).Result, Text, WriteError);
   Cv.notify_all();
-  return false;
 }
 
-void SweepService::runJob(const std::string &Id) {
-  JobSpec Spec;
+void SweepService::runJob(const std::string &Id, const JobSpec &Spec) {
+  JobPaths Paths = Store.paths(Id);
+  uint64_t SpecHash = Spec.hash();
+  JobStatus *St = nullptr; // map nodes are stable; fields need Mu
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    JobRec &R = Jobs[Id];
-    R.State = JobState::Running;
-    Spec = R.Spec;
+    St = &Jobs[Id];
   }
-  JobPaths Paths = Store.paths(Id);
-  JobRec Dummy;
 
   sweep::ResilientOptions Base;
   std::string Error;
   if (!Spec.resolve(Base, Error)) {
-    finishJob(Id, Dummy, "spec resolution failed: " + Error);
+    failJob(Id, SpecHash, "spec resolution failed: " + Error);
     return;
   }
 
@@ -562,6 +536,7 @@ void SweepService::runJob(const std::string &Id) {
   // correct for a library, wrong for a daemon claiming resume parity —
   // so the service refuses the job outright.
   //===--------------------------------------------------------------------===//
+  uint64_t Resumed = 0;
   if (JobStore::exists(Paths.Journal)) {
     sweep::CheckpointLoad Load;
     std::string LoadError;
@@ -571,15 +546,23 @@ void SweepService::runJob(const std::string &Id) {
       Want.NumSeeds = Base.NumSeeds;
       Want.OptionsHash = sweep::resilientOptionsHash(Base);
       if (!(Load.Meta == Want)) {
-        finishJob(Id, Dummy,
-                  "refusing to resume: journal was written by a different "
-                  "job spec (checkpoint meta mismatch)");
+        failJob(Id, SpecHash,
+                "refusing to resume: journal was written by a different "
+                "job spec (checkpoint meta mismatch)");
         return;
       }
+      Resumed = firstRecords(Load, Spec.NumSeeds).size();
     }
     // Unreadable journal (e.g. killed mid-header): the executor
     // recreates it and the sweep starts over — nothing committed was
     // readable, so nothing committed is lost.
+  }
+  {
+    // One critical section: no poll sees Running without the resumed
+    // slots counted.
+    std::lock_guard<std::mutex> Lock(Mu);
+    St->State = JobState::Running;
+    St->SlotsDone = Resumed;
   }
 
   // Job deadline: wall-clock, enforced by cooperative cancel at slot
@@ -617,13 +600,11 @@ void SweepService::runJob(const std::string &Id) {
   for (uint32_t Run = 1; Run <= MaxRuns; ++Run) {
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      ++Jobs[Id].RunsAttempted;
+      ++St->RunsAttempted;
     }
-    auto OnSlot = [this, &Id](const sweep::SlotRecord &R) {
+    auto OnSlot = [this, St](const sweep::SlotRecord &) {
       std::lock_guard<std::mutex> Lock(Mu);
-      JobRec &Rec = Jobs[Id];
-      ++Rec.SlotsDone;
-      Rec.Progress.push_back(renderProgressLine(R));
+      ++St->SlotsDone;
     };
 
     sweep::ResilientResult Res;
@@ -637,9 +618,7 @@ void SweepService::runJob(const std::string &Id) {
       Req.OnSlotDone = OnSlot;
       Res = Pool->run(Req).Res;
     } else {
-      sweep::ResilientOptions RO;
-      std::string ResolveError;
-      Spec.resolve(RO, ResolveError); // validated above; cannot fail now
+      sweep::ResilientOptions RO = Base;
       RO.CheckpointPath = Paths.Journal;
       RO.Resume = JobStore::exists(Paths.Journal);
       RO.Metrics = &Reg;
@@ -654,14 +633,12 @@ void SweepService::runJob(const std::string &Id) {
       DisarmDeadline();
       if (StopRequested.load()) {
         std::lock_guard<std::mutex> Lock(Mu);
-        JobRec &R = Jobs[Id];
-        R.State = JobState::Queued;
-        R.Resume = true;
+        St->State = JobState::Queued;
         return;
       }
-      finishJob(Id, Dummy, "deadline exceeded (" +
-                               std::to_string(Spec.DeadlineMillis) +
-                               " ms); committed slots remain journaled");
+      failJob(Id, SpecHash,
+              "deadline exceeded (" + std::to_string(Spec.DeadlineMillis) +
+                  " ms); committed slots remain journaled");
       return;
     }
 
@@ -674,23 +651,22 @@ void SweepService::runJob(const std::string &Id) {
         continue;
       }
       DisarmDeadline();
-      finishJob(Id, Dummy, "journal failure after " + std::to_string(Run) +
-                               " runs: " + Res.CheckpointError);
+      failJob(Id, SpecHash, "journal failure after " + std::to_string(Run) +
+                                " runs: " + Res.CheckpointError);
       return;
     }
 
-    // Success: render the terminal document and commit it.
+    // Success: commit the terminal document, then show the job Done.
     DisarmDeadline();
-    std::string Text =
-        support::renderJsonPretty(makeResultJson(Spec, Res, Paths.Journal));
     std::string WriteError;
-    Store.writeAtomic(Paths.Result, Text, WriteError);
+    Store.writeAtomic(
+        Paths.Result,
+        support::renderJsonPretty(makeResultJson(Spec, Res, Paths.Journal)),
+        WriteError);
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      JobRec &R = Jobs[Id];
-      R.State = JobState::Done;
-      R.ResultText = std::move(Text);
-      R.SlotsDone = Spec.NumSeeds;
+      St->State = JobState::Done;
+      St->SlotsDone = Spec.NumSeeds;
     }
     Cv.notify_all();
     return;

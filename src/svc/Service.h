@@ -27,11 +27,14 @@
 ///   GET  /jobs                 id -> state summary list.
 ///   GET  /jobs/<id>            full status JSON (state, slot counts,
 ///                              spec hash, error).
-///   GET  /jobs/<id>/progress   JSON-lines, one slot record per line,
-///                              in completion order as observed by THIS
-///                              daemon run; ?from=N resumes the cursor
+///   GET  /jobs/<id>/progress   JSON-lines, one journaled slot record
+///                              per line, in journal order across
+///                              restarts; ?from=N starts at record N
 ///                              (poll-friendly streaming on a one-thread
-///                              server). X-Next-Index carries the cursor.
+///                              server). X-Next-Index carries the cursor:
+///                              the records in the journal.
+///   GET  /jobs/<id>/result     result.json from the job directory; 404
+///                              until the job is terminal.
 ///   GET  /readyz               readiness: 200 admitting / 503 not
 ///                              (draining or stopped).
 ///   GET  /healthz              liveness (built-in: the serving thread
@@ -52,6 +55,11 @@
 /// worker arenas — and parks everything else as Queued state on disk.
 /// waitDrained() then returns and the host exits 0. The next start()
 /// resumes every parked job from its journal.
+///
+/// Memory: per job the daemon keeps only its JobStatus; the spec lives
+/// in the queue until the scheduler takes it. Results and progress are
+/// read from the job directory (svc/Store.h), their only copy, so a
+/// served job costs the daemon one small status record.
 ///
 /// Recovery protocol (every start()): scan the store in id order; a job
 /// dir with a result.json is terminal (served as-is); one with only a
@@ -105,7 +113,8 @@ struct ServiceOptions {
   obs::ServerLimits HttpLimits;
 };
 
-/// Point-in-time job status (copied out under the service lock).
+/// Point-in-time job status (copied out under the service lock). It is
+/// also the service's whole in-memory record of a job.
 struct JobStatus {
   std::string Id;
   JobState State = JobState::Queued;
@@ -158,29 +167,21 @@ public:
   uint64_t shedCount() const { return Shed.load(); }
 
 private:
-  struct JobRec {
+  /// An admitted or recovered job the scheduler has not taken yet.
+  struct QueuedJob {
+    std::string Id;
     JobSpec Spec;
-    JobState State = JobState::Queued;
-    uint64_t SpecHash = 0;
-    uint64_t SlotsDone = 0;
-    uint64_t RunsAttempted = 0;
-    bool Resume = false; ///< journal may exist (recovered / retried)
-    std::string Error;
-    std::string ResultText; ///< result.json content once terminal
-    /// Rendered progress lines observed this daemon run, completion
-    /// order. The /progress endpoint serves a [from..) window of these.
-    std::vector<std::string> Progress;
   };
 
   bool handleHttp(const obs::HttpRequest &Req, obs::HttpResponse &Resp);
   void handleAdmit(const obs::HttpRequest &Req, obs::HttpResponse &Resp);
   void schedulerMain();
   /// Runs one job to a terminal state (or parks it on drain).
-  void runJob(const std::string &Id);
-  /// Builds + atomically writes result.json from the journal. Empty
-  /// \p FailError means success.
-  bool finishJob(const std::string &Id, JobRec &Rec,
-                 const std::string &FailError);
+  void runJob(const std::string &Id, const JobSpec &Spec);
+  /// Writes the failed result.json, then marks the job Failed (durable,
+  /// then visible, as admission does).
+  void failJob(const std::string &Id, uint64_t SpecHash,
+               const std::string &Error);
 
   ServiceOptions Opts;
   JobStore Store;
@@ -190,8 +191,9 @@ private:
 
   mutable std::mutex Mu;
   std::condition_variable Cv;
-  std::map<std::string, JobRec> Jobs; ///< ordered: listing = id order
-  std::deque<std::string> Queue;
+  /// Ordered: listing = id order. Entries are never erased.
+  std::map<std::string, JobStatus> Jobs;
+  std::deque<QueuedJob> Queue;
   uint64_t NextSeq = 1;
 
   std::thread Scheduler;

@@ -11,8 +11,9 @@
 //  * WATCHDOG — a tight CPU spin never reaches a scheduling point, so
 //    MaxSteps alone can NEVER fire; only the hard watchdog recovers the
 //    thread, in bounded wall-clock time, with a deterministic detail
-//    string. The soft path fires for yield-forever bodies, and an armed
-//    watchdog over a healthy body changes nothing.
+//    string. The soft path fires for yield-forever bodies, an armed
+//    watchdog over a healthy body changes nothing, and disarming never
+//    waits out the monitor's poll.
 //  * FIBER BOUNDARY — a foreign C++ exception thrown inside a goroutine
 //    body is captured into RunResult::ForeignExceptions instead of
 //    escaping Runtime::run() and killing the host sweep.
@@ -55,6 +56,7 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 using namespace grs;
 
@@ -122,6 +124,23 @@ TEST(Watchdog, HardPathRecoversNonYieldingSpin) {
   EXPECT_FALSE(R.clean());
   // Bounded recovery: budget + poll + slack, far below "forever".
   EXPECT_LT(Elapsed, std::chrono::seconds(10));
+}
+
+// Disarming wakes the monitor instead of waiting out its poll: a body
+// that outlives the monitor's start used to pay up to a whole poll on
+// top of its own time, here 10 s for a 20 ms body.
+TEST(Watchdog, DisarmDoesNotWaitOutThePoll) {
+  rt::RunOptions Opts;
+  Opts.Seed = 1;
+  Opts.WatchdogMillis = 60'000;
+  Opts.WatchdogPollMillis = 10'000;
+  auto Start = std::chrono::steady_clock::now();
+  rt::Runtime RT(Opts);
+  rt::RunResult R = RT.run(
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(20)); });
+  auto Elapsed = std::chrono::steady_clock::now() - Start;
+  EXPECT_FALSE(R.WatchdogFired);
+  EXPECT_LT(Elapsed, std::chrono::seconds(5));
 }
 
 TEST(Watchdog, SoftPathFiresForYieldForeverBody) {

@@ -22,7 +22,9 @@
 //  * DEADLINE — cooperative cancel at slot granularity, terminal Failed,
 //    committed slots still journaled.
 //  * DRAIN — SIGTERM-shaped shutdown parks the in-flight job; a restart
-//    resumes it and lands on the uninterrupted result, byte for byte.
+//    resumes it and lands on the uninterrupted result, byte for byte,
+//    counts its journaled slots from the start, and serves progress and
+//    result from the job directory across the restart.
 //  * KILL -9 — the centerpiece: SIGKILL the daemon process mid-job, once
 //    its journal holds a random number of records, restart, and require
 //    result.json AND the canonical journal to be bit-identical to an
@@ -44,6 +46,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -568,7 +571,31 @@ TEST(SweepService, DrainParksInFlightJobAndRestartLandsIdentically) {
       JobStore::exists(JobStore(Dir).paths("job-000001").Result));
   EXPECT_GT(ParkedSlots, 0u) << "test must actually interrupt mid-job";
 
-  std::string Resumed = runToTerminal(Dir, /*ForceForkFree=*/true);
+  std::string Resumed;
+  {
+    ServiceOptions O;
+    O.StateDir = Dir;
+    O.ForceForkFree = true;
+    SweepService S(O);
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
+    ASSERT_TRUE(S.waitTerminal("job-000001", 60'000));
+    ASSERT_TRUE(JobStore::readFile(JobStore(Dir).paths("job-000001").Result,
+                                   Resumed));
+    // Both endpoints read the job directory, so they span the restart:
+    // the stream holds the parked slots too and its cursor keeps
+    // counting, and the result is result.json's bytes.
+    std::string Resp = httpReq(S.port(), "GET", "/jobs/job-000001/progress");
+    EXPECT_NE(Resp.find("X-Next-Index: 120"), std::string::npos) << Resp;
+    std::string Lines = httpBody(Resp);
+    EXPECT_EQ(std::count(Lines.begin(), Lines.end(), '\n'), 120);
+    Lines = httpBody(
+        httpReq(S.port(), "GET", "/jobs/job-000001/progress?from=118"));
+    EXPECT_EQ(std::count(Lines.begin(), Lines.end(), '\n'), 2);
+    EXPECT_EQ(httpBody(httpReq(S.port(), "GET", "/jobs/job-000001/result")),
+              Resumed);
+    S.stop();
+  }
   EXPECT_EQ(Resumed, RefResult)
       << "drain + restart must land on the uninterrupted result";
 
@@ -582,6 +609,56 @@ TEST(SweepService, DrainParksInFlightJobAndRestartLandsIdentically) {
   EXPECT_TRUE(RefRecords == Records);
 
   removeTree(RefDir);
+  removeTree(Dir);
+}
+
+TEST(SweepService, ResumedJobRunsWithItsJournaledSlotsCounted) {
+  // Slots of a millisecond or more, so polls land while the resumed job
+  // runs: a resumed job starts from its journal, and so does SlotsDone.
+  std::string Dir = tempDir("resume-count");
+  seedJob(Dir, slowGrsSpec(100, 2000));
+  ServiceOptions O;
+  O.StateDir = Dir;
+  O.ForceForkFree = true;
+  uint64_t ParkedSlots = 0;
+  {
+    SweepService S(O);
+    std::string Error;
+    ASSERT_TRUE(S.start(Error)) << Error;
+    for (int Spin = 0; Spin < 10'000; ++Spin) {
+      JobStatus St;
+      if (S.status("job-000001", St) && St.SlotsDone >= 10)
+        break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    S.drain();
+    ASSERT_TRUE(S.waitDrained(30'000));
+    JobStatus St;
+    ASSERT_TRUE(S.status("job-000001", St));
+    ASSERT_EQ(St.State, JobState::Queued);
+    ParkedSlots = St.SlotsDone;
+    S.stop();
+  }
+  ASSERT_GE(ParkedSlots, 10u);
+
+  SweepService S(O);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  uint64_t RunningPolls = 0;
+  JobStatus St;
+  auto Deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (S.status("job-000001", St) && St.State != JobState::Done &&
+         St.State != JobState::Failed &&
+         std::chrono::steady_clock::now() < Deadline) {
+    if (St.State == JobState::Running) {
+      ++RunningPolls;
+      EXPECT_GE(St.SlotsDone, ParkedSlots) << "poll " << RunningPolls;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  EXPECT_EQ(St.State, JobState::Done) << St.Error;
+  EXPECT_GT(RunningPolls, 0u) << "no poll saw the resumed job run";
+  S.stop();
   removeTree(Dir);
 }
 
