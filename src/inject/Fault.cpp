@@ -246,7 +246,7 @@ void inject::detonate(const FaultSpec &Spec) {
     RT.go("inject.spinner", [] {
       volatile uint64_t Spin = 0;
       for (;;)
-        ++Spin;
+        Spin = Spin + 1;
     });
     break;
   case FaultKind::LatencySpike:

@@ -7,14 +7,18 @@
 #include "obs/RuntimeMetrics.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <cerrno>
 #include <chrono>
-#include <condition_variable>
+#include <csetjmp>
 #include <csignal>
+#include <ctime>
 #include <exception>
 #include <mutex>
 #include <pthread.h>
-#include <thread>
+#include <system_error>
+#include <unistd.h>
 #if !defined(__x86_64__)
 #include <ucontext.h>
 #endif
@@ -53,56 +57,114 @@ struct Runtime::Goroutine {
 static thread_local Runtime *ActiveRuntime = nullptr;
 
 //===----------------------------------------------------------------------===//
-// Hard watchdog machinery
+// Watchdog machinery
 //
 // A goroutine that never reaches a scheduling point (a tight CPU spin, or
 // foreign code that blocks forever) cannot be recovered cooperatively:
 // the scheduler and the fiber share one OS thread, and control only comes
-// back at yield points the fiber never executes. The hard path regains
-// the thread with a signal: a monitor thread watches the runtime's
-// progress stamp, and when it stays frozen for the whole wall-clock
-// budget, signals the runtime's thread; the handler siglongjmps from the
-// stuck fiber's stack back into Runtime::runScheduler(), abandoning the
-// fiber mid-frame. Everything the handler touches is thread-local, and
-// the jump is armed only between two points on the SAME thread the signal
-// targets, so a late signal after disarm is a harmless no-op.
+// back at yield points the fiber never executes. So every OS thread that
+// runs an armed run owns one POSIX timer that sends SIGURG to that thread
+// alone, and the timer ticks while the run is armed. Each tick's handler
+// reads the clock and the run's progress stamp and decides both paths:
+// once the budget has passed it raises the flag the scheduler reads at
+// every step (the soft path), and once the stamp has been frozen for the
+// whole budget it siglongjmps from the stuck fiber's stack back into
+// Runtime::runScheduler(), abandoning the fiber mid-frame (the hard path).
+// Everything the handler touches is thread-local to the thread the signal
+// targets, and the jump is latched between two points on that thread, so
+// a tick that lands after disarm is a harmless no-op.
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// Nonzero only while the current thread's runtime accepts a hard abort
-/// (i.e. while a watchdog-armed fiber may be running). Checked and
+
+/// How often an armed run's timer fires. A run shorter than one tick
+/// takes no signal at all.
+constexpr long WatchdogTickNs = 5'000'000;
+
+/// Nonzero only while this thread's run accepts a hard abort. Checked and
 /// cleared by the handler so the jump fires at most once per arm.
 thread_local volatile sig_atomic_t HardAbortArmed = 0;
-} // namespace
+/// Raised by the handler once the budget has passed: the soft path.
+thread_local volatile sig_atomic_t BudgetSpent = 0;
+/// Bumped at every scheduling step, so a stamp unchanged for the whole
+/// budget means the current goroutine never reached a scheduling point.
+thread_local std::atomic<uint64_t> Progress{0};
+/// The armed run's budget and arm time, and the stamp the handler last
+/// saw with when it saw it change (monotonic nanoseconds).
+thread_local uint64_t BudgetNs = 0, ArmNs = 0, SeenStamp = 0, SeenNs = 0;
+/// Recovery point for the hard path.
+thread_local sigjmp_buf WatchdogJmp;
 
-namespace grs {
-namespace rt {
-/// Out-of-line so the signal handler can reach the private jump buffer.
-void watchdogSignalJump(Runtime &RT) { siglongjmp(RT.WatchdogJmp, 1); }
-} // namespace rt
-} // namespace grs
+/// This thread's timer. The thread's first armed run creates it, and it
+/// is deleted when the thread exits.
+struct ThreadTimer {
+  timer_t Id{};
+  bool Live = false;
+  ThreadTimer() = default;
+  ThreadTimer(const ThreadTimer &) = delete;
+  ThreadTimer &operator=(const ThreadTimer &) = delete;
+  ~ThreadTimer() {
+    if (Live)
+      timer_delete(Id);
+  }
+};
+thread_local ThreadTimer WatchdogTimer;
 
-namespace {
-
-void watchdogSignalHandler(int /*Signo*/) {
-  if (!HardAbortArmed || !ActiveRuntime)
-    return;
-  HardAbortArmed = 0;
-  watchdogSignalJump(*ActiveRuntime);
+uint64_t monotonicNs() {
+  struct timespec T = {};
+  clock_gettime(CLOCK_MONOTONIC, &T);
+  return static_cast<uint64_t>(T.tv_sec) * 1'000'000'000 +
+         static_cast<uint64_t>(T.tv_nsec);
 }
 
-/// Installs the process-wide SIGURG handler once. SIGURG matches Go's own
-/// async-preemption choice: ignored by default, rarely used elsewhere,
-/// and delivered to the precise thread pthread_kill names.
-void installWatchdogHandler() {
+void watchdogTick(int /*Signo*/) {
+  if (!HardAbortArmed)
+    return;
+  int SavedErrno = errno;
+  uint64_t Now = monotonicNs();
+  uint64_t Stamp = Progress.load(std::memory_order_relaxed);
+  if (Stamp != SeenStamp) {
+    SeenStamp = Stamp;
+    SeenNs = Now;
+  } else if (Now - SeenNs >= BudgetNs) {
+    HardAbortArmed = 0;
+    siglongjmp(WatchdogJmp, 1);
+  }
+  if (Now - ArmNs >= BudgetNs)
+    BudgetSpent = 1;
+  errno = SavedErrno;
+}
+
+/// Creates this thread's timer unless it has one, installing the
+/// process-wide SIGURG handler first. SIGURG matches Go's own
+/// async-preemption choice: ignored by default and rarely used elsewhere.
+/// \throws std::system_error when the kernel refuses a timer.
+void ensureThreadTimer() {
+  if (WatchdogTimer.Live)
+    return;
   static std::once_flag Once;
   std::call_once(Once, [] {
-    struct sigaction SA;
-    SA.sa_handler = watchdogSignalHandler;
+    struct sigaction SA = {};
+    SA.sa_handler = watchdogTick;
     sigemptyset(&SA.sa_mask);
-    SA.sa_flags = 0;
+    SA.sa_flags = SA_RESTART;
     sigaction(SIGURG, &SA, nullptr);
   });
+  struct sigevent SE = {};
+  SE.sigev_notify = SIGEV_THREAD_ID;
+  SE.sigev_signo = SIGURG;
+  SE._sigev_un._tid = gettid();
+  if (timer_create(CLOCK_MONOTONIC, &SE, &WatchdogTimer.Id) != 0)
+    throw std::system_error(errno, std::generic_category(),
+                            "watchdog timer_create");
+  WatchdogTimer.Live = true;
+}
+
+/// Starts this thread's timer ticking every \p IntervalNs, or stops it
+/// at 0.
+void setWatchdogTick(long IntervalNs) {
+  struct itimerspec Spec = {{0, IntervalNs}, {0, IntervalNs}};
+  timer_settime(WatchdogTimer.Id, 0, &Spec, nullptr);
 }
 
 } // namespace
@@ -257,6 +319,10 @@ void Runtime::fiberEntry() {
 RunResult Runtime::run(std::function<void()> Main) {
   assert(!Running && "Runtime::run() is not reentrant");
   assert(!ActiveRuntime && "another Runtime is active on this thread");
+  // Before any state changes: a thread the kernel refuses a timer throws
+  // from a run that never started.
+  if (Opts.WatchdogMillis)
+    ensureThreadTimer();
   Running = true;
   ActiveRuntime = this;
 
@@ -314,61 +380,30 @@ void Runtime::runScheduler() {
     return;
   }
 
-  // Arm the watchdog: soft deadline for the scheduler's own checks, plus
-  // a monitor thread for the hard path. The monitor only signals when
-  // the progress stamp has been frozen for the WHOLE budget — a body
-  // that yields at all lets the soft path handle the deadline instead.
-  installWatchdogHandler();
-  using Clock = std::chrono::steady_clock;
-  auto Budget = std::chrono::milliseconds(Opts.WatchdogMillis);
-  auto Poll = std::chrono::milliseconds(
-      Opts.WatchdogPollMillis ? Opts.WatchdogPollMillis : 1);
-  WatchdogDeadline = Clock::now() + Budget;
-  WatchdogArmed = true;
-  WatchdogProgress.store(0, std::memory_order_relaxed);
-
-  // The monitor waits on a condition variable, not in a sleep, so the
-  // disarm below wakes it at once instead of waiting out a poll.
-  struct MonitorStop {
-    std::mutex M;
-    std::condition_variable C;
-    bool Stop = false;
-  } MS;
-  pthread_t Target = pthread_self();
-  std::thread Monitor([this, &MS, Target, Budget, Poll] {
-    uint64_t LastStamp = WatchdogProgress.load(std::memory_order_relaxed);
-    auto LastChange = Clock::now();
-    std::unique_lock<std::mutex> Lock(MS.M);
-    while (!MS.C.wait_for(Lock, Poll, [&] { return MS.Stop; })) {
-      uint64_t Stamp = WatchdogProgress.load(std::memory_order_relaxed);
-      auto Now = Clock::now();
-      if (Stamp != LastStamp) {
-        LastStamp = Stamp;
-        LastChange = Now;
-        continue;
-      }
-      if (Now - LastChange >= Budget) {
-        pthread_kill(Target, SIGURG);
-        return;
-      }
+  BudgetNs = std::min<uint64_t>(Opts.WatchdogMillis, UINT64_MAX / 1'000'000) *
+             1'000'000;
+  ArmNs = SeenNs = monotonicNs();
+  SeenStamp = 0;
+  Progress.store(0, std::memory_order_relaxed);
+  // Disarm drops the latch first, so a tick already pending when the
+  // timer stops is a no-op.
+  struct Disarm {
+    Disarm() = default;
+    Disarm(const Disarm &) = delete;
+    ~Disarm() {
+      HardAbortArmed = 0;
+      setWatchdogTick(0);
+      BudgetSpent = 0;
     }
-  });
-
-  HardAbortArmed = 1;
-  if (sigsetjmp(WatchdogJmp, /*savemask=*/1) == 0)
+  } D;
+  if (sigsetjmp(WatchdogJmp, /*savemask=*/1) == 0) {
+    // Armed only once the jump has somewhere to land.
+    HardAbortArmed = 1;
+    setWatchdogTick(WatchdogTickNs);
     schedulerLoop();
-  else
+  } else {
     hardWatchdogAbort();
-  // Disarm on this thread FIRST: any signal the monitor already sent and
-  // that lands after this line sees HardAbortArmed == 0 and is a no-op.
-  HardAbortArmed = 0;
-  WatchdogArmed = false;
-  {
-    std::lock_guard<std::mutex> Lock(MS.M);
-    MS.Stop = true;
   }
-  MS.C.notify_one();
-  Monitor.join();
 }
 
 void Runtime::hardWatchdogAbort() {
@@ -392,18 +427,14 @@ void Runtime::schedulerLoop() {
       Result.StepLimitHit = true;
       return;
     }
-    if (WatchdogArmed) {
-      WatchdogProgress.store(Steps + 1, std::memory_order_relaxed);
+    Progress.store(Steps + 1, std::memory_order_relaxed);
+    if (BudgetSpent) {
       // Soft path: the system is still scheduling, just past its
-      // wall-clock budget. Checked every few steps — a clock read is
-      // cheap next to a context switch, but not free.
-      if ((Steps & 0x3f) == 0 &&
-          std::chrono::steady_clock::now() >= WatchdogDeadline) {
-        Result.WatchdogFired = true;
-        Result.WatchdogDetail = "soft: wall-clock budget exhausted while "
-                                "goroutines were still being scheduled";
-        return;
-      }
+      // wall-clock budget (a watchdog tick raised the flag).
+      Result.WatchdogFired = true;
+      Result.WatchdogDetail = "soft: wall-clock budget exhausted while "
+                              "goroutines were still being scheduled";
+      return;
     }
 
     // Wake sleepers whose deadline arrived.
@@ -595,19 +626,14 @@ void rt::prepareChildAfterFork() {
   // thread of the parent is gone, but this thread's own thread-locals are
   // inherited. The caller forks from supervisor code (never from inside a
   // run), so an inherited ActiveRuntime would be a supervisor bug — still,
-  // clear the hard-abort latch and restore SIGURG's default (ignored)
-  // disposition so a stray signal cannot jump into a jmp_buf that belongs
-  // to a parent stack frame. installWatchdogHandler()'s std::once_flag is
-  // also inherited in its "done" state, so re-arming the handler for the
-  // child's own runs must not rely on it; reset by re-installing directly
-  // on the first armed run (sigaction below leaves it correct either way).
+  // clear the hard-abort latch so a stray signal cannot jump into a
+  // jmp_buf that belongs to a parent stack frame. The SIGURG handler is
+  // inherited like every signal disposition. The parent thread's timer is
+  // not: timers do not survive fork(), and each names its thread by id.
+  // Forget it, and the child's first armed run creates its own.
   HardAbortArmed = 0;
   ActiveRuntime = nullptr;
-  struct sigaction SA;
-  SA.sa_handler = watchdogSignalHandler;
-  sigemptyset(&SA.sa_mask);
-  SA.sa_flags = 0;
-  sigaction(SIGURG, &SA, nullptr);
+  WatchdogTimer.Live = false;
   // A pool worker (sweep::pooled) lives through MANY runs, each arming
   // its own watchdog, so the child must start with SIGURG deliverable:
   // fork() inherits the calling thread's signal mask, and a supervisor

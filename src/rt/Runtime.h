@@ -41,9 +41,6 @@
 #include "race/Detector.h"
 #include "support/Rng.h"
 
-#include <atomic>
-#include <chrono>
-#include <csetjmp>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -132,22 +129,21 @@ struct RunOptions {
   obs::TimelineTrack *TimelineTrack = nullptr;
   /// Wall-clock watchdog budget in milliseconds; 0 (the default)
   /// disables the watchdog entirely. When set, the run is bounded in
-  /// REAL time, not just virtual steps: the scheduler checks the
-  /// deadline at scheduling points (the soft path, for bodies that
-  /// yield but run long), and a monitor thread aborts a goroutine that
-  /// burns CPU without ever reaching a scheduling point (the hard path
-  /// — a tight spin never consumes steps, so MaxSteps alone cannot
-  /// fire). Either path surfaces as RunResult::WatchdogFired instead of
-  /// a hang. Note the hard path abandons the offending fiber's stack
-  /// without unwinding it (its destructors never run), which is the
-  /// price of recovering the thread from non-cooperative code; the
-  /// fiber's memory itself is still released with the Runtime.
+  /// REAL time, not just virtual steps. The calling thread's own POSIX
+  /// timer ticks every 5 ms while the run is armed; it starts no thread.
+  /// Once the budget has passed, the next scheduling point ends the run
+  /// (the soft path, for bodies that yield but run long). A goroutine
+  /// that burns CPU without ever reaching a scheduling point is aborted
+  /// once the run's progress has been frozen for the whole budget (the
+  /// hard path: a tight spin never consumes steps, so MaxSteps alone
+  /// cannot fire), within about one tick of that. Either path surfaces
+  /// as RunResult::WatchdogFired instead of a hang. Note the hard path
+  /// abandons the offending fiber's stack without unwinding it (its
+  /// destructors never run), which is the price of recovering the thread
+  /// from non-cooperative code; the fiber's memory itself is still
+  /// released with the Runtime. run() throws std::system_error if the
+  /// kernel refuses the thread a timer.
   uint64_t WatchdogMillis = 0;
-  /// Monitor-thread poll interval for the hard watchdog path. The
-  /// worst-case recovery latency for a never-yielding body is about
-  /// WatchdogMillis + WatchdogPollMillis. A run that ends wakes the
-  /// monitor at once; it never waits out a poll.
-  uint64_t WatchdogPollMillis = 5;
   /// Optional deterministic choice hook: when set, EVERY scheduling
   /// choice point (which runnable goroutine to resume, which ready select
   /// arm to take) calls it with the number of options and uses the
@@ -181,8 +177,8 @@ struct RunResult {
   /// whole sweep that hosts it.
   std::vector<std::string> ForeignExceptions;
   /// True if the wall-clock watchdog (RunOptions::WatchdogMillis) ended
-  /// the run — soft (deadline seen at a scheduling point) or hard (a
-  /// goroutine never yielded and was abandoned by the monitor thread).
+  /// the run — soft (budget spent, seen at a scheduling point) or hard (a
+  /// goroutine never yielded and was abandoned from a timer tick).
   bool WatchdogFired = false;
   /// Which watchdog path fired and on what ("soft: ..." / "hard: ...").
   /// Deliberately free of step counts and timings so the field is
@@ -313,7 +309,6 @@ private:
   static void fiberTrampoline();
   void runScheduler();
   void hardWatchdogAbort();
-  friend void watchdogSignalJump(Runtime &RT);
 
   RunOptions Opts;
   std::unique_ptr<race::Detector> Det;
@@ -347,22 +342,9 @@ private:
   bool Aborting = false;
   RunResult Result;
   /// The scheduler's suspended context while a fiber runs: one pointer
-  /// into the scheduler's stack (Runtime.cpp, switchFiber).
+  /// into the scheduler's stack (Runtime.cpp, switchFiber). The watchdog's
+  /// state is per OS thread and lives in Runtime.cpp.
   void *SchedSp = nullptr;
-  //===------------------------------------------------------------------===//
-  // Watchdog state (all inert when RunOptions::WatchdogMillis == 0)
-  //===------------------------------------------------------------------===//
-  /// Monotone progress stamp the monitor thread watches: bumped at every
-  /// scheduling step, so "unchanged for the whole budget" means the
-  /// current goroutine never reached a scheduling point.
-  std::atomic<uint64_t> WatchdogProgress{0};
-  /// Soft-path deadline, checked at scheduling points.
-  std::chrono::steady_clock::time_point WatchdogDeadline;
-  bool WatchdogArmed = false;
-  /// Recovery point for the hard path: the monitor thread signals this
-  /// runtime's thread and the handler siglongjmps here, abandoning the
-  /// stuck fiber's stack.
-  sigjmp_buf WatchdogJmp;
 };
 
 //===----------------------------------------------------------------------===//
@@ -387,11 +369,12 @@ inline RunOptions withSeed(uint64_t Seed) {
 
 /// Re-initializes this runtime's process-global state in a freshly forked
 /// child (sweep::pooled's workers call this first): clears any
-/// inherited active-runtime thread-locals and hard-watchdog latches and
-/// re-installs the SIGURG disposition so the child's own watchdog-armed
-/// runs behave exactly like a fresh process. Async-signal-safety is not
-/// required here — the child is single-threaded right after fork() and has
-/// not yet run anything.
+/// inherited active-runtime thread-locals and hard-watchdog latches,
+/// forgets the parent thread's watchdog timer (the child's first armed
+/// run creates its own) and unblocks SIGURG, so the child's own
+/// watchdog-armed runs behave exactly like a fresh process.
+/// Async-signal-safety is not required here — the child is
+/// single-threaded right after fork() and has not yet run anything.
 void prepareChildAfterFork();
 
 /// Self-calibrated hard-watchdog budget: times a fixed scheduler micro-run

@@ -104,8 +104,12 @@ bool JobSpec::parse(const support::Json &V, JobSpec &Out,
     Error = "executor must be \"pool\" or \"resilient\"";
     return false;
   }
-  Out.Threads =
-      static_cast<unsigned>(V.get("threads").asU64(Out.Threads));
+  uint64_t Threads = V.get("threads").asU64(Out.Threads);
+  if (Threads > 256) {
+    Error = "threads must be at most 256";
+    return false;
+  }
+  Out.Threads = static_cast<unsigned>(Threads);
   Out.MaxAttempts =
       static_cast<uint32_t>(V.get("max_attempts").asU64(Out.MaxAttempts));
   if (Out.MaxAttempts == 0 || Out.MaxAttempts > 100) {
@@ -158,10 +162,18 @@ bool JobSpec::parse(const support::Json &V, JobSpec &Out,
   }
 
   Out.DeadlineMillis = V.get("deadline_millis").asU64(Out.DeadlineMillis);
-  Out.JobRetries =
-      static_cast<uint32_t>(V.get("job_retries").asU64(Out.JobRetries));
+  uint64_t JobRetries = V.get("job_retries").asU64(Out.JobRetries);
+  if (JobRetries > 100) {
+    Error = "job_retries must be at most 100";
+    return false;
+  }
+  Out.JobRetries = static_cast<uint32_t>(JobRetries);
   Out.JobRetryBackoffMillis =
       V.get("job_retry_backoff_millis").asU64(Out.JobRetryBackoffMillis);
+  if (Out.JobRetryBackoffMillis > 60'000) {
+    Error = "job_retry_backoff_millis must be at most 60000";
+    return false;
+  }
   return true;
 }
 

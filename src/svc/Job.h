@@ -80,10 +80,11 @@ struct JobSpec {
   uint64_t NumSeeds = 50;
   Executor Exec = Executor::Pool;
   /// Worker threads for the Resilient executor (and the pool's fork-free
-  /// degradation rung). The pool's width is a HOST property — fixed when
-  /// the service forked its workers — so this does not resize it.
+  /// degradation rung), at most 256. The pool's width is a HOST property
+  /// — fixed when the service forked its workers — so this does not
+  /// resize it.
   unsigned Threads = 1;
-  uint32_t MaxAttempts = 3;
+  uint32_t MaxAttempts = 3; ///< in [1, 100]
   double PreemptProbability = 0.2;
   uint64_t MaxSteps = 2'000'000;
   /// Per-run watchdog. Nonzero is enforced at parse: a service cannot
@@ -101,8 +102,12 @@ struct JobSpec {
   double FaultChronicFraction = 0.1;
 
   /// Job-level policy (NOT part of any determinism claim).
-  uint64_t DeadlineMillis = 0; ///< 0 = none; clock starts per daemon run
-  uint32_t JobRetries = 0;     ///< extra whole-job tries after a failure
+  /// 0 = none; the clock starts per daemon run and is checked where a slot
+  /// commits, so a job that hits it has committed at least one slot.
+  uint64_t DeadlineMillis = 0;
+  uint32_t JobRetries = 0; ///< extra whole-job tries after a failure, <= 100
+  /// The first retry's wait (<= 60000); each later wait doubles, capped
+  /// at 60 s.
   uint64_t JobRetryBackoffMillis = 100;
 
   /// Decodes \p V (strict: unknown keys are errors — a typo'd knob must

@@ -565,47 +565,32 @@ void SweepService::runJob(const std::string &Id, const JobSpec &Spec) {
     St->SlotsDone = Resumed;
   }
 
-  // Job deadline: wall-clock, enforced by cooperative cancel at slot
-  // granularity. The clock starts when THIS daemon run starts the job
-  // (a deadline that spanned restarts would need a persisted admission
-  // timestamp — wall-clock in the store — for marginal value).
-  struct DeadlineTimer {
-    std::mutex M;
-    std::condition_variable C;
-    bool Done = false;
-  } DT;
-  std::thread Timer;
-  bool DeadlineArmed = Spec.DeadlineMillis != 0;
-  if (DeadlineArmed)
-    Timer = std::thread([this, &DT, Millis = Spec.DeadlineMillis] {
-      std::unique_lock<std::mutex> Lock(DT.M);
-      if (!DT.C.wait_for(Lock, std::chrono::milliseconds(Millis),
-                         [&] { return DT.Done; }))
-        CancelCurrent.store(true);
-    });
-  auto DisarmDeadline = [&] {
-    if (!DeadlineArmed)
-      return;
+  // Job deadline: wall-clock, checked where a slot commits, so a job that
+  // hits its deadline keeps every committed slot and commits at least
+  // one. The clock starts when THIS daemon run starts the job (a deadline
+  // that spanned restarts would need a persisted admission timestamp —
+  // wall-clock in the store — for marginal value). It is kept in double
+  // milliseconds, which no deadline a spec can carry overflows.
+  auto Started = std::chrono::steady_clock::now();
+  std::chrono::duration<double, std::milli> Deadline(Spec.DeadlineMillis);
+  auto OnSlot = [&](const sweep::SlotRecord &) {
     {
-      std::lock_guard<std::mutex> Lock(DT.M);
-      DT.Done = true;
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++St->SlotsDone;
     }
-    DT.C.notify_all();
-    Timer.join();
-    DeadlineArmed = false;
+    if (Spec.DeadlineMillis &&
+        std::chrono::steady_clock::now() - Started >= Deadline)
+      CancelCurrent.store(true);
   };
 
   std::string SpecBytes = Spec.canonicalBytes();
   uint32_t MaxRuns = 1 + Spec.JobRetries;
+  uint64_t BackoffMillis = Spec.JobRetryBackoffMillis;
   for (uint32_t Run = 1; Run <= MaxRuns; ++Run) {
     {
       std::lock_guard<std::mutex> Lock(Mu);
       ++St->RunsAttempted;
     }
-    auto OnSlot = [this, St](const sweep::SlotRecord &) {
-      std::lock_guard<std::mutex> Lock(Mu);
-      ++St->SlotsDone;
-    };
 
     sweep::ResilientResult Res;
     if (Spec.Exec == Executor::Pool) {
@@ -630,7 +615,6 @@ void SweepService::runJob(const std::string &Id, const JobSpec &Spec) {
     if (Res.UnfinishedSlots != 0) {
       // Cancelled mid-sweep. Drain parks the job (journal holds every
       // committed slot; restart resumes); a deadline is terminal.
-      DisarmDeadline();
       if (StopRequested.load()) {
         std::lock_guard<std::mutex> Lock(Mu);
         St->State = JobState::Queued;
@@ -646,18 +630,16 @@ void SweepService::runJob(const std::string &Id, const JobSpec &Spec) {
       // Journal infrastructure failure: retry the whole job (the next
       // run resumes whatever DID reach the journal), then give up.
       if (Run < MaxRuns) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            Spec.JobRetryBackoffMillis << (Run - 1)));
+        std::this_thread::sleep_for(std::chrono::milliseconds(BackoffMillis));
+        BackoffMillis = std::min<uint64_t>(BackoffMillis * 2, 60'000);
         continue;
       }
-      DisarmDeadline();
       failJob(Id, SpecHash, "journal failure after " + std::to_string(Run) +
                                 " runs: " + Res.CheckpointError);
       return;
     }
 
     // Success: commit the terminal document, then show the job Done.
-    DisarmDeadline();
     std::string WriteError;
     Store.writeAtomic(
         Paths.Result,
@@ -671,5 +653,4 @@ void SweepService::runJob(const std::string &Id, const JobSpec &Spec) {
     Cv.notify_all();
     return;
   }
-  DisarmDeadline();
 }

@@ -44,10 +44,12 @@
 ///
 /// Scheduling: admissions append to a bounded FIFO; one scheduler thread
 /// pops and runs jobs in admission order (determinism beats throughput
-/// here — parallel jobs would contend for the one pool anyway). Each job
-/// gets deadline enforcement (cooperative cancel at slot granularity ->
-/// terminal Failed), whole-job retries with backoff on infrastructure
-/// failure, and a result.json written atomically at the end.
+/// here — parallel jobs would contend for the one pool anyway). It is the
+/// only thread the service starts. Each job gets deadline enforcement
+/// (checked where a slot commits, then cooperative cancel -> terminal
+/// Failed, with at least one slot committed), whole-job retries with
+/// doubling backoff (capped at 60 s) on infrastructure failure, and a
+/// result.json written atomically at the end.
 ///
 /// Graceful drain (SIGTERM path): drain() stops admission (429s become
 /// 503s), cancels the in-flight job cooperatively — committed slots are

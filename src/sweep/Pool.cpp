@@ -580,7 +580,6 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
 
     if (PoolReady && !Pending.empty() && !Cancelled) {
       ++I.Host.JobsRun;
-      Stats.CgroupMemory = I.Cg.active();
       uint8_t *ShmBase = I.Shm.data();
       PoolControl *Control = I.Layout.control(ShmBase);
       WorkEntry *Entries = I.Layout.entries(ShmBase);
@@ -873,20 +872,17 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
         if (!I.Sup[W].Alive && Spawn(W))
           ++Live;
       if (Live == 0) {
-        // Cannot fork at all right now: finish in-process rather than
-        // losing the sweep.
-        for (uint64_t Slot : Pending) {
-          if (Req.CancelFlag &&
-              Req.CancelFlag->load(std::memory_order_relaxed)) {
-            Cancelled = true;
-            break;
-          }
-          if (!Done[Slot])
-            Deliver(runResilientSlot(Base, Slot, 1, Track));
-        }
+        // Cannot fork at all right now. Nothing alive will claim what was
+        // just published, and left in the ring it would be the next job's
+        // first claims: drop the mapping and take the in-process rung, as
+        // when mmap refuses. resilient() reopens the journal.
+        I.resetMapping();
+        Writer.close();
+        WantPool = false;
       }
+      Stats.CgroupMemory = I.Cg.active();
 
-      while (Resolved < Total) {
+      while (WantPool && Resolved < Total) {
         if (Req.CancelFlag &&
             Req.CancelFlag->load(std::memory_order_relaxed)) {
           Cancelled = true;
@@ -1076,7 +1072,7 @@ PoolResult PoolHost::run(const PoolRunRequest &Req) {
       // before setup finished; they don't weaken the floor). Read
       // before any reset unmaps the report words.
       uint32_t MinTier = UINT32_MAX;
-      for (unsigned W = 0; W < I.Workers; ++W) {
+      for (unsigned W = 0; WantPool && W < I.Workers; ++W) {
         uint32_t T = I.Layout.worker(ShmBase, W)
                          ->AppliedTier.load(std::memory_order_acquire);
         if (T != 0)

@@ -75,7 +75,9 @@
 ///     so journal comparisons hold even for quarantined slots.
 ///
 ///   - Graceful degradation: no fork, no usable shared memory, an mmap
-///     that refuses the job's mapping, or ForceForkFree -> the plain
+///     that refuses the job's mapping, a job for which not one worker
+///     could be forked (the mapping is dropped, so the next job's
+///     workers claim nothing of it), or ForceForkFree -> the plain
 ///     in-process resilient path, where process-lethal injected faults
 ///     downgrade to foreign exceptions (inject::inSandbox); no futex ->
 ///     the pool runs with sleep-poll signalling. Every rung reaches
@@ -144,7 +146,7 @@ struct PoolStats {
   bool FutexSignalled = false;
   /// True when the in-process rung ran (sweep::resilient) instead of a
   /// pool: no fork, no usable shared memory, mmap refused the job's
-  /// mapping, or ForceForkFree.
+  /// mapping, no worker could be forked, or ForceForkFree.
   bool ForkFree = false;
   /// True when CancelFlag ended the run before every slot resolved.
   bool Cancelled = false;

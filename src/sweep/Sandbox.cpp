@@ -301,8 +301,9 @@ bool applySeccomp(bool DenyFileOpens) {
   Stmt(BPF_RET | BPF_K, Deny);
 #endif
 
-  // Everything else — including clone/clone3 (the watchdog monitor
-  // thread), mmap/brk (allocator), futex (pool signalling) — is allowed.
+  // Everything else — including timer_create/timer_settime (the
+  // watchdog's per-thread timer), mmap/brk (allocator), futex (pool
+  // signalling) — is allowed.
   Stmt(BPF_RET | BPF_K, Allow);
 
   struct sock_fprog FProg;

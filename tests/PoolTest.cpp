@@ -55,7 +55,10 @@
 #include <set>
 #include <thread>
 
+#include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 using namespace grs;
 
@@ -653,6 +656,57 @@ TEST(Pool, FleetSweepParityAndWarmRunsForkNothing) {
     EXPECT_EQ(Warm.Res, InProcess) << "warm run " << Rep << " diverged";
     EXPECT_EQ(Warm.Stats.WorkerSpawns, 0u) << "warm run " << Rep << " forked";
   }
+  Host.shutdown();
+}
+
+// A job for which not one worker can be forked runs in-process, and leaves
+// nothing published behind: the next job's workers claim only that job's
+// own entries. pipe() fails for job A here because every descriptor below
+// a lowered RLIMIT_NOFILE is held.
+TEST(Pool, NoForkFallbackLeavesNothingForTheNextJob) {
+  sweep::ResilientOptions A = baseOptions(corpus::hostBody(racyBody), 24).Base;
+  sweep::ResilientOptions B = A;
+  B.FirstSeed = 5000;
+  B.Body = corpus::hostBody([] {
+    rt::Shared<int> X("x", 0);
+    X.store(1);
+  });
+  sweep::PoolHostOptions HO;
+  HO.Workers = 2;
+  HO.Resolve = [A, B](const uint8_t *Spec, size_t Len,
+                      sweep::ResilientOptions &Out) {
+    Out = Len && Spec[0] == 'B' ? B : A;
+    return true;
+  };
+  sweep::PoolHost Host(std::move(HO));
+  sweep::PoolRunRequest JobA, JobB;
+  JobA.Spec = {'A'};
+  JobB.Spec = {'B'};
+
+  struct rlimit Saved = {};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &Saved), 0);
+  struct rlimit Low = Saved;
+  Low.rlim_cur = std::min<rlim_t>(Saved.rlim_cur, 256);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &Low), 0);
+  std::vector<int> Held;
+  for (int Fd; (Fd = open("/dev/null", O_RDONLY)) >= 0;)
+    Held.push_back(Fd);
+  int OpenErrno = errno;
+  sweep::PoolResult RA = Host.run(JobA);
+  for (int Fd : Held)
+    close(Fd);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &Saved), 0);
+  ASSERT_EQ(OpenErrno, EMFILE);
+
+  EXPECT_TRUE(RA.Stats.ForkFree);
+  EXPECT_EQ(RA.Res, sweep::resilient(A));
+  sweep::PoolResult RB = Host.run(JobB);
+  EXPECT_FALSE(RB.Stats.ForkFree);
+  sweep::ResilientResult WantB = sweep::resilient(B);
+  EXPECT_EQ(WantB.Sweep.SeedsWithRaces, 0u);
+  EXPECT_EQ(RB.Res.Sweep.SeedsWithRaces, 0u) << "job A's records leaked";
+  EXPECT_TRUE(RB.Res.Sweep.Findings.empty()) << "job A's findings leaked";
+  EXPECT_EQ(RB.Res, WantB);
   Host.shutdown();
 }
 

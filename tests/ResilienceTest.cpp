@@ -12,8 +12,8 @@
 //    MaxSteps alone can NEVER fire; only the hard watchdog recovers the
 //    thread, in bounded wall-clock time, with a deterministic detail
 //    string. The soft path fires for yield-forever bodies, an armed
-//    watchdog over a healthy body changes nothing, and disarming never
-//    waits out the monitor's poll.
+//    watchdog over a healthy body changes nothing, disarming never
+//    waits, and an armed run starts no thread.
 //  * FIBER BOUNDARY — a foreign C++ exception thrown inside a goroutine
 //    body is captured into RunResult::ForeignExceptions instead of
 //    escaping Runtime::run() and killing the host sweep.
@@ -52,6 +52,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -126,14 +127,12 @@ TEST(Watchdog, HardPathRecoversNonYieldingSpin) {
   EXPECT_LT(Elapsed, std::chrono::seconds(10));
 }
 
-// Disarming wakes the monitor instead of waiting out its poll: a body
-// that outlives the monitor's start used to pay up to a whole poll on
-// top of its own time, here 10 s for a 20 ms body.
+// Disarming never waits: a body that outlives several watchdog ticks
+// stops its thread's timer and returns at once.
 TEST(Watchdog, DisarmDoesNotWaitOutThePoll) {
   rt::RunOptions Opts;
   Opts.Seed = 1;
   Opts.WatchdogMillis = 60'000;
-  Opts.WatchdogPollMillis = 10'000;
   auto Start = std::chrono::steady_clock::now();
   rt::Runtime RT(Opts);
   rt::RunResult R = RT.run(
@@ -141,6 +140,24 @@ TEST(Watchdog, DisarmDoesNotWaitOutThePoll) {
   auto Elapsed = std::chrono::steady_clock::now() - Start;
   EXPECT_FALSE(R.WatchdogFired);
   EXPECT_LT(Elapsed, std::chrono::seconds(5));
+}
+
+// The watchdog is the thread's own kernel timer: an armed run starts no
+// thread, counted exactly in /proc/self/task from inside the body.
+TEST(Watchdog, ArmedRunStartsNoThread) {
+  auto Threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator());
+  };
+  auto Before = Threads();
+  decltype(Before) During = 0;
+  rt::RunOptions Opts;
+  Opts.Seed = 1;
+  Opts.WatchdogMillis = 60'000;
+  rt::Runtime RT(Opts);
+  rt::RunResult R = RT.run([&] { During = Threads(); });
+  EXPECT_FALSE(R.WatchdogFired);
+  EXPECT_EQ(During, Before);
 }
 
 TEST(Watchdog, SoftPathFiresForYieldForeverBody) {

@@ -19,8 +19,10 @@
 //  * ADMISSION — a full queue answers 429 + Retry-After, never a silent
 //    drop; a draining service answers 503; /readyz flips independently
 //    of /healthz liveness.
-//  * DEADLINE — cooperative cancel at slot granularity, terminal Failed,
-//    committed slots still journaled.
+//  * DEADLINE — checked where a slot commits, on both executors: terminal
+//    Failed, at least one slot committed and every committed slot still
+//    journaled, no thread started for it, and a pool the cancel tore
+//    down re-forks for the next job.
 //  * DRAIN — SIGTERM-shaped shutdown parks the in-flight job; a restart
 //    resumes it and lands on the uninterrupted result, byte for byte,
 //    counts its journaled slots from the start, and serves progress and
@@ -49,6 +51,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
@@ -299,6 +302,23 @@ TEST(JobSpec, StrictRejection) {
   Rejects("{\"body\":{\"kind\":\"grs\",\"source\":\"func main() {}\"},"
           "\"fault_plan\":{\"rate\":2.0}}",
           "rate out of range");
+  // Range checks before any narrowing: 2^32 + 1 threads would wrap to 1,
+  // and 2^32 - 1 job retries would wrap the run count to 0.
+  Rejects("{\"body\":{\"kind\":\"pattern\",\"pattern\":\"p\"},"
+          "\"threads\":257}",
+          "too many threads");
+  Rejects("{\"body\":{\"kind\":\"pattern\",\"pattern\":\"p\"},"
+          "\"threads\":4294967297}",
+          "threads past 32 bits");
+  Rejects("{\"body\":{\"kind\":\"pattern\",\"pattern\":\"p\"},"
+          "\"job_retries\":101}",
+          "too many job retries");
+  Rejects("{\"body\":{\"kind\":\"pattern\",\"pattern\":\"p\"},"
+          "\"job_retries\":4294967295}",
+          "job retries that wrap the run count");
+  Rejects("{\"body\":{\"kind\":\"pattern\",\"pattern\":\"p\"},"
+          "\"job_retry_backoff_millis\":60001}",
+          "backoff past 60 s");
 }
 
 #if GRS_SVC_TEST_FORK
@@ -526,6 +546,96 @@ TEST(SweepService, DeadlineCancelsAtSlotGranularity) {
                                Meta, Records));
   EXPECT_GT(Records.size(), 0u);
   EXPECT_EQ(Records.size(), St.SlotsDone);
+  removeTree(Dir);
+}
+
+// A deadline is checked where a slot commits, so a job that has one starts
+// no thread: /proc/self/task, sampled every millisecond while the job
+// runs, never holds more threads than right after start().
+TEST(SweepService, DeadlinedJobStartsNoThread) {
+  auto Threads = [] {
+    return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                         std::filesystem::directory_iterator());
+  };
+  std::string Dir = tempDir("deadline-threads");
+  seedJob(Dir, slowGrsSpec(1'000'000, 50, ",\"deadline_millis\":150"));
+  ServiceOptions O;
+  O.StateDir = Dir;
+  O.ForceForkFree = true;
+  SweepService S(O);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  auto AfterStart = Threads();
+  auto Most = AfterStart;
+  uint64_t RunningSamples = 0;
+  JobStatus St;
+  auto GiveUp = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (S.status("job-000001", St) && St.State != JobState::Done &&
+         St.State != JobState::Failed &&
+         std::chrono::steady_clock::now() < GiveUp) {
+    Most = std::max(Most, Threads());
+    RunningSamples += St.State == JobState::Running;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(St.State, JobState::Failed) << St.Error;
+  EXPECT_GT(RunningSamples, 0u) << "no sample landed while the job ran";
+  EXPECT_EQ(Most, AfterStart);
+  S.stop();
+  removeTree(Dir);
+}
+
+// The same deadline on the pool executor: the cancel tears the pool down
+// after at least one committed slot, the journal holds exactly the slots
+// the status counted, and the next job re-forks and lands on the
+// in-process result.
+TEST(SweepService, PoolDeadlineCancelsAndTheNextJobRuns) {
+  if (!sweep::pooledAvailable())
+    GTEST_SKIP() << "no fork on this platform";
+  std::string Next = patternSpec(24, "pool");
+  std::string RefDir = tempDir("pool-deadline-ref");
+  seedJob(RefDir, Next);
+  std::string RefResult = runToTerminal(RefDir, /*ForceForkFree=*/true);
+  ASSERT_FALSE(RefResult.empty());
+
+  std::string Dir = tempDir("pool-deadline");
+  seedJob(Dir,
+          slowGrsSpec(1'000'000, 50, ",\"deadline_millis\":150", "pool"));
+  ServiceOptions O;
+  O.StateDir = Dir;
+  O.PoolWorkers = 2;
+  SweepService S(O);
+  std::string Error;
+  ASSERT_TRUE(S.start(Error)) << Error;
+  ASSERT_TRUE(S.waitTerminal("job-000001", 60'000));
+  JobStatus St;
+  ASSERT_TRUE(S.status("job-000001", St));
+  EXPECT_EQ(St.State, JobState::Failed);
+  EXPECT_NE(St.Error.find("deadline exceeded"), std::string::npos)
+      << St.Error;
+  EXPECT_GE(St.SlotsDone, 1u);
+  sweep::CheckpointLoad Load;
+  ASSERT_TRUE(sweep::loadCheckpoint(JobStore(Dir).paths("job-000001").Journal,
+                                    Load, Error))
+      << Error;
+  EXPECT_EQ(Load.Records.size(), St.SlotsDone);
+  sweep::PoolHostStats AfterDeadline = S.poolStats();
+  EXPECT_EQ(AfterDeadline.CancelTeardowns, 1u);
+
+  std::string Resp = httpReq(S.port(), "POST", "/jobs", Next);
+  ASSERT_NE(Resp.find("HTTP/1.1 202"), std::string::npos) << Resp;
+  ASSERT_TRUE(S.waitTerminal("job-000002", 60'000));
+  ASSERT_TRUE(S.status("job-000002", St));
+  EXPECT_EQ(St.State, JobState::Done) << St.Error;
+  sweep::PoolHostStats AfterNext = S.poolStats();
+  EXPECT_EQ(AfterNext.CancelTeardowns, 1u);
+  EXPECT_GT(AfterNext.TotalSpawns, AfterDeadline.TotalSpawns)
+      << "the next job must run on re-forked workers";
+  S.stop();
+  std::string Result;
+  ASSERT_TRUE(
+      JobStore::readFile(JobStore(Dir).paths("job-000002").Result, Result));
+  EXPECT_EQ(Result, RefResult);
+  removeTree(RefDir);
   removeTree(Dir);
 }
 

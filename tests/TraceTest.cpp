@@ -105,10 +105,12 @@ TEST(TraceCodec, EncodeDecodeIsIdentityOverRandomStreams) {
       EXPECT_EQ(Got.A, F.HasA ? Want.A : 0u);
       EXPECT_EQ(Got.B, F.HasB ? Want.B : 0u);
       EXPECT_EQ(Got.Flag, F.HasFlag ? Want.Flag : false);
-      if (F.HasStr1)
+      if (F.HasStr1) {
         EXPECT_EQ(Decoded.text(Got.Str1), Events[I].S1);
-      if (F.HasStr2)
+      }
+      if (F.HasStr2) {
         EXPECT_EQ(Decoded.text(Got.Str2), Events[I].S2);
+      }
     }
   }
 }
