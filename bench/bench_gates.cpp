@@ -136,12 +136,6 @@ Gate poolGate() {
 
   sweep::PoolHostOptions HO;
   HO.Workers = Base.Threads;
-  // Room in the job table and the append-only work ring for every run
-  // below, at its full attempt budget, so none of them recycles (re-forks)
-  // the workers.
-  HO.MaxJobs = 2 + Pairs * Jobs;
-  HO.RingEntries =
-      static_cast<uint32_t>(HO.MaxJobs * Base.NumSeeds * Base.MaxAttempts);
   HO.Resolve = [Base](const uint8_t *, size_t,
                       sweep::ResilientOptions &Out) {
     Out = Base;
@@ -245,11 +239,7 @@ int main() {
   mallopt(M_TRIM_THRESHOLD, 256 << 20);
 #endif
   std::vector<Gate> Gates;
-  if (sweep::pooledAvailable())
-    Gates.push_back(poolGate());
-  else
-    std::fprintf(stderr, "bench_gates: no fork() + shared memory; pool gate "
-                         "skipped\n");
+  Gates.push_back(poolGate());
   Gates.push_back(timelineGate());
   Gates.push_back(gcGate());
 

@@ -10,17 +10,12 @@
 #include <chrono>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GRS_HAVE_SOCKETS 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#else
-#define GRS_HAVE_SOCKETS 0
-#endif
 
 using namespace grs;
 using namespace grs::obs;
@@ -78,8 +73,6 @@ uint64_t IntervalPublisher::now() const {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-#if GRS_HAVE_SOCKETS
 
 bool MetricsServer::start(uint16_t Port) {
   if (Running.load())
@@ -423,12 +416,3 @@ void MetricsServer::serveLoop() {
     serveClient(Client);
   }
 }
-
-#else // !GRS_HAVE_SOCKETS
-
-bool MetricsServer::start(uint16_t) { return false; }
-void MetricsServer::stop() {}
-void MetricsServer::serveLoop() {}
-void MetricsServer::serveClient(int) {}
-
-#endif // GRS_HAVE_SOCKETS

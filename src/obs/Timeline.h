@@ -34,8 +34,8 @@
 ///
 /// Export targets: Chrome trace-event JSON (load the file in
 /// chrome://tracing or https://ui.perfetto.dev) and a compact terminal
-/// summary. For `sweep::pooled`, worker-side events cross the shm result
-/// arena as kind-tagged frames (sweep/Checkpoint.h FrameKind) encoded by
+/// summary. For `sweep::pooled`, worker-side events cross the worker's
+/// socket as kind-tagged frames (sweep/Checkpoint.h FrameKind) encoded by
 /// encodeTrackChunk() and are stitched into the parent timeline with
 /// pid/slot attribution by adoptTrackChunk().
 ///
@@ -192,7 +192,7 @@ public:
   /// Appends \p Track's events since the last flush to \p Out as a
   /// self-contained chunk (strings inline, timestamps preserved) and
   /// advances the track's flush cursor. Used by a pool worker to
-  /// forward its recording through its result arena.
+  /// forward its recording through its socket.
   static void encodeTrackChunk(std::vector<uint8_t> &Out,
                                TimelineTrack &Track);
 

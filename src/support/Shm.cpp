@@ -7,18 +7,11 @@
 #include <cstring>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#include <unistd.h>
-#define GRS_HAVE_MMAP 1
-#endif
-
-#if defined(__linux__)
 #include <linux/futex.h>
+#include <sys/mman.h>
 #include <sys/syscall.h>
 #include <sys/time.h>
-#define GRS_HAVE_FUTEX_SYSCALL 1
-#endif
+#include <unistd.h>
 
 namespace grs {
 namespace support {
@@ -32,16 +25,7 @@ std::mutex &processForkMutex() {
 // ShmRegion
 //===----------------------------------------------------------------------===//
 
-bool shmAvailable() {
-#if GRS_HAVE_MMAP
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool ShmRegion::map(size_t Bytes) {
-#if GRS_HAVE_MMAP
   unmap();
   if (Bytes == 0)
     return false;
@@ -56,17 +40,11 @@ bool ShmRegion::map(size_t Bytes) {
   Base = static_cast<uint8_t *>(P);
   Size = Rounded;
   return true;
-#else
-  (void)Bytes;
-  return false;
-#endif
 }
 
 void ShmRegion::unmap() {
-#if GRS_HAVE_MMAP
   if (Base)
     ::munmap(Base, Size);
-#endif
   Base = nullptr;
   Size = 0;
 }
@@ -75,7 +53,6 @@ void ShmRegion::unmap() {
 // Futex
 //===----------------------------------------------------------------------===//
 
-#if GRS_HAVE_FUTEX_SYSCALL
 static long rawFutex(const std::atomic<uint32_t> *Addr, int Op, uint32_t Val,
                      const struct timespec *Timeout) {
   // The kernel writes nothing through Addr for WAIT/WAKE; const_cast is
@@ -85,10 +62,8 @@ static long rawFutex(const std::atomic<uint32_t> *Addr, int Op, uint32_t Val,
                      reinterpret_cast<const uint32_t *>(Addr)),
                  Op, Val, Timeout, nullptr, 0);
 }
-#endif
 
 bool futexAvailable() {
-#if GRS_HAVE_FUTEX_SYSCALL
   // Probe once: FUTEX_WAKE on a private word is harmless and returns 0
   // (nobody waiting) on any kernel that has the syscall; ENOSYS means a
   // jail or emulation layer swallowed it.
@@ -100,16 +75,16 @@ bool futexAvailable() {
     return errno != ENOSYS;
   }();
   return Avail;
-#else
-  return false;
-#endif
 }
 
-void waitOnU32(const std::atomic<uint32_t> *Addr, uint32_t Expected,
-               uint64_t TimeoutMicros, bool UseFutex) {
+/// Blocks while *Addr == Expected, up to \p TimeoutMicros (0 = one
+/// immediate recheck), on FUTEX_WAIT when \p UseFutex and the kernel
+/// allow it, else sleeping with exponential backoff from 2us to 1ms per
+/// nap. Spurious wakeups are allowed: callers loop on their condition.
+static void waitOnU32(const std::atomic<uint32_t> *Addr, uint32_t Expected,
+                      uint64_t TimeoutMicros, bool UseFutex) {
   if (Addr->load(std::memory_order_acquire) != Expected)
     return;
-#if GRS_HAVE_FUTEX_SYSCALL
   if (UseFutex && futexAvailable()) {
     struct timespec Ts;
     Ts.tv_sec = (time_t)(TimeoutMicros / 1000000);
@@ -118,8 +93,6 @@ void waitOnU32(const std::atomic<uint32_t> *Addr, uint32_t Expected,
     rawFutex(Addr, FUTEX_WAIT, Expected, TimeoutMicros ? &Ts : nullptr);
     return;
   }
-#endif
-  (void)UseFutex;
   // Sleep-poll fallback: exponential backoff 2us -> 1ms, bounded by the
   // caller's timeout. Correct (the caller loops on its condition), just
   // slower to notice changes.
@@ -132,9 +105,10 @@ void waitOnU32(const std::atomic<uint32_t> *Addr, uint32_t Expected,
   }
 }
 
-void wakeU32(const std::atomic<uint32_t> *Addr, uint32_t Count,
-             bool UseFutex) {
-#if GRS_HAVE_FUTEX_SYSCALL
+/// Wakes up to \p Count waiters blocked in waitOnU32(Addr, ...); a no-op
+/// (sleep-pollers wake themselves) without futexes.
+static void wakeU32(const std::atomic<uint32_t> *Addr, uint32_t Count,
+                    bool UseFutex) {
   // FUTEX_WAKE takes a SIGNED waiter count: UINT32_MAX reinterpreted as
   // -1 makes the kernel's wake loop stop after ONE waiter, silently
   // turning "wake all" into "wake one" and stranding every other
@@ -143,11 +117,6 @@ void wakeU32(const std::atomic<uint32_t> *Addr, uint32_t Count,
     Count = INT32_MAX;
   if (UseFutex && futexAvailable())
     rawFutex(Addr, FUTEX_WAKE, Count, nullptr);
-#else
-  (void)Addr;
-  (void)Count;
-  (void)UseFutex;
-#endif
 }
 
 //===----------------------------------------------------------------------===//

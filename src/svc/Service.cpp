@@ -107,7 +107,8 @@ Json makeFailedResultJson(uint64_t SpecHash, const std::string &Error) {
 }
 
 /// Splits "?from=N" style queries off a target. Only `from` is ever
-/// looked for, so the parser is exactly that small.
+/// looked for, so the parser is exactly that small. N saturates at
+/// UINT64_MAX: a cursor past the end reads nothing, never wraps around.
 uint64_t queryFrom(const std::string &Target, std::string &Path) {
   size_t Q = Target.find('?');
   Path = Target.substr(0, Q);
@@ -119,8 +120,10 @@ uint64_t queryFrom(const std::string &Target, std::string &Path) {
   uint64_t N = 0;
   for (size_t I = F + 5; I < Target.size() && Target[I] >= '0' &&
                          Target[I] <= '9';
-       ++I)
-    N = N * 10 + static_cast<uint64_t>(Target[I] - '0');
+       ++I) {
+    uint64_t Digit = static_cast<uint64_t>(Target[I] - '0');
+    N = N > (UINT64_MAX - Digit) / 10 ? UINT64_MAX : N * 10 + Digit;
+  }
   return N;
 }
 
@@ -189,9 +192,6 @@ bool SweepService::start(std::string &Error) {
   sweep::PoolHostOptions PH;
   PH.Workers = Opts.PoolWorkers;
   PH.Resolve = resolveSpecBytes;
-  PH.EnableSeccomp = Opts.EnableSeccomp;
-  PH.EnableLandlock = Opts.EnableLandlock;
-  PH.UseCgroupMemory = Opts.UseCgroupMemory;
   PH.ForceForkFree = Opts.ForceForkFree;
   Pool = std::make_unique<sweep::PoolHost>(std::move(PH));
 
@@ -483,8 +483,6 @@ void SweepService::schedulerMain() {
                static_cast<double>(HS.JobsRun));
       obs::set(Reg.gauge("grs_svc_pool_total_spawns"),
                static_cast<double>(HS.TotalSpawns));
-      obs::set(Reg.gauge("grs_svc_pool_recycles"),
-               static_cast<double>(HS.Recycles));
     }
     Http.publishRegistry(Reg);
   }

@@ -104,10 +104,6 @@ struct ServiceOptions {
   uint64_t RetryAfterSeconds = 1;
   /// Pool width (0 = hardware concurrency).
   unsigned PoolWorkers = 0;
-  /// Pool hardening pass-throughs (sweep::PoolHostOptions).
-  bool EnableSeccomp = false;
-  bool EnableLandlock = false;
-  bool UseCgroupMemory = false;
   /// Degradation forcing for tests: run every job on the in-process
   /// rung (still journaled, still cancellable, still resumable).
   bool ForceForkFree = false;

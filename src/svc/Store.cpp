@@ -7,22 +7,15 @@
 #include <cstdio>
 #include <cstring>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define GRS_HAVE_POSIX_FS 1
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#else
-#define GRS_HAVE_POSIX_FS 0
-#endif
 
 using namespace grs;
 using namespace grs::svc;
 
 namespace {
-
-#if GRS_HAVE_POSIX_FS
 
 bool makeDir(const std::string &Path) {
   return mkdir(Path.c_str(), 0777) == 0 || errno == EEXIST;
@@ -36,8 +29,6 @@ void syncDir(const std::string &Dir) {
   fsync(Fd);
   close(Fd);
 }
-
-#endif
 
 std::string dirOf(const std::string &Path) {
   size_t Slash = Path.find_last_of('/');
@@ -62,8 +53,6 @@ JobPaths JobStore::paths(const std::string &Id) const {
   P.Result = P.Dir + "/result.json";
   return P;
 }
-
-#if GRS_HAVE_POSIX_FS
 
 bool JobStore::init(std::string &Error) {
   // mkdir -p over each prefix of the root path.
@@ -196,24 +185,3 @@ uint64_t JobStore::maxSequence() const {
   closedir(D);
   return Max;
 }
-
-#else // !GRS_HAVE_POSIX_FS
-
-bool JobStore::init(std::string &Error) {
-  Error = "no filesystem support on this platform";
-  return false;
-}
-bool JobStore::writeAtomic(const std::string &, const std::string &,
-                           std::string &Error) const {
-  Error = "no filesystem support on this platform";
-  return false;
-}
-bool JobStore::readFile(const std::string &, std::string &) { return false; }
-bool JobStore::exists(const std::string &) { return false; }
-bool JobStore::recover(std::vector<Recovered> &, std::string &Error) const {
-  Error = "no filesystem support on this platform";
-  return false;
-}
-uint64_t JobStore::maxSequence() const { return 0; }
-
-#endif // GRS_HAVE_POSIX_FS

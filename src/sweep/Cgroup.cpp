@@ -8,16 +8,11 @@
 #include <fstream>
 #include <sstream>
 
-#if defined(__linux__)
 #include <sys/stat.h>
 #include <unistd.h>
-#define GRS_HAVE_CGROUP 1
-#endif
 
 using namespace grs;
 using namespace grs::sweep;
-
-#if GRS_HAVE_CGROUP
 
 namespace {
 
@@ -151,13 +146,3 @@ void CgroupMemory::teardown() {
   PoolDir.clear();
   Active = false;
 }
-
-#else // !GRS_HAVE_CGROUP
-
-CgroupMemory::~CgroupMemory() {}
-bool CgroupMemory::setup(unsigned, uint64_t) { return false; }
-bool CgroupMemory::attach(unsigned, pid_t) const { return false; }
-uint64_t CgroupMemory::oomKills(unsigned) const { return UINT64_MAX; }
-void CgroupMemory::teardown() {}
-
-#endif // GRS_HAVE_CGROUP

@@ -142,12 +142,11 @@ void sweep::encodeFrame(std::vector<uint8_t> &Out, FrameKind Kind,
 }
 
 void FrameParser::feed(const uint8_t *Data, size_t Size) {
-  // Compact before growing: delivered bytes never need revisiting, and
-  // without compaction a long-lived worker stream grows without bound.
-  if (Pos == Buf.size()) {
-    Buf.clear();
-    Pos = 0;
-  }
+  // Drop delivered bytes before growing: they never need revisiting, and
+  // a long-lived worker stream whose reads often end mid-frame would
+  // otherwise grow without bound.
+  Buf.erase(Buf.begin(), Buf.begin() + static_cast<std::ptrdiff_t>(Pos));
+  Pos = 0;
   Buf.insert(Buf.end(), Data, Data + Size);
 }
 
@@ -159,7 +158,7 @@ FrameParser::Status FrameParser::next(FrameKind &Kind,
   if (E == support::VarintError::Truncated)
     return Status::NeedMore;
   if (E != support::VarintError::Ok ||
-      K > static_cast<uint64_t>(FrameKind::TimelineChunk))
+      K > static_cast<uint64_t>(FrameKind::Slot))
     return Status::Corrupt;
   E = support::readVarint(Buf.data(), Buf.size(), P, Len);
   if (E == support::VarintError::Truncated)

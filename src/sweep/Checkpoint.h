@@ -78,17 +78,18 @@ inline constexpr size_t NumFaultClasses = 8;
 /// Stable lower-case name of \p C (instrument label / diagnostics).
 const char *faultClassName(FaultClass C);
 
-/// Kind tags for the frames a sandboxed worker streams back to its
-/// supervisor over its shm arena ring (sweep::pooled). TRANSPORT
-/// PROTOCOL ONLY —
-/// the on-disk journal keeps its original kind-less `length, payload`
-/// record framing. A frame is `kind varint, length varint,
-/// payload[length]`; both ends are always the same binary, so the tag
-/// needs no version negotiation.
+/// Kind tags for the frames a pool worker and its host exchange over the
+/// worker's socket (sweep/Pool.h). TRANSPORT PROTOCOL ONLY — the on-disk
+/// journal keeps its original kind-less `length, payload` record framing.
+/// A frame is `kind varint, length varint, payload[length]`; both ends are
+/// always the same binary, so the tag needs no version negotiation.
 enum class FrameKind : uint8_t {
-  SlotRecord = 0,    ///< payload = encodeSlotRecord() of a completed slot.
-  TimelineChunk = 1, ///< payload = obs::Timeline::encodeTrackChunk() —
+  SlotRecord = 0,    ///< worker -> host: encodeSlotRecord() of a slot.
+  TimelineChunk = 1, ///< worker -> host: obs::Timeline::encodeTrackChunk() —
                      ///< child flight-recorder events for stitching.
+  Tier = 2,          ///< worker -> host: varint SandboxTier, once applied.
+  Job = 3,           ///< host -> worker: traced byte, then the spec bytes.
+  Slot = 4,          ///< host -> worker: varint slot, varint attempt.
 };
 
 /// Appends one kind-tagged transport frame to \p Out.
@@ -96,14 +97,14 @@ void encodeFrame(std::vector<uint8_t> &Out, FrameKind Kind,
                  const uint8_t *Payload, size_t Size);
 
 /// Incremental decoder for a kind-tagged frame stream. Bytes arrive in
-/// arbitrary slices (pipe reads, shm-ring drains); next() hands back
-/// each complete frame exactly once and reports a partial tail as
-/// NeedMore — which is also how a producer death mid-frame surfaces: the
-/// stream simply ends with buffered() > 0 and the supervisor discards
-/// the tail, the atomic half of the salvage-or-discard contract.
+/// arbitrary slices (socket reads); next() hands back each complete frame
+/// exactly once and reports a partial tail as NeedMore — which is also
+/// how a producer death mid-frame surfaces: the stream simply ends with
+/// buffered() > 0 and the reader discards the tail, the atomic half of
+/// the salvage-or-discard contract.
 ///
-/// Used by sweep::pooled's supervisor on every worker arena: one parser,
-/// one corruption policy.
+/// Used on both ends of every pool worker's socket: one parser, one
+/// corruption policy.
 class FrameParser {
 public:
   enum class Status {

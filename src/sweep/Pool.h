@@ -7,49 +7,48 @@
 ///
 /// \file
 /// The fleet's fast containment layer: a pre-forked pool of sandboxed
-/// workers that OUTLIVE their slots — and, since the sweep service, their
-/// JOBS. Forking a child per batch of slots buys process containment at
-/// ~5x the in-process cost — a fork per batch, a pipe round-trip per
-/// record, and a whole-batch refork on every death. sweep::pooled keeps
-/// the containment and sheds the per-slot syscalls:
+/// workers that OUTLIVE their slots and, since the sweep service, their
+/// JOBS. A crashing run must lose only its own record (the paper's
+/// pipeline ran every unit test every day), and forking a child per
+/// slot buys that at several times the in-process cost. sweep::pooled
+/// keeps the containment and forks once:
 ///
-///   - Workers are forked ONCE (lazily respawned on death) and pull slot
-///     assignments from a shared-memory work ring: the parent publishes
-///     (job, slot, attempt) entries, workers claim them with a CAS on the
-///     entry's Owner word, and sleep on a futex (or a sleep-poll
-///     fallback) when the ring is empty. No pipe write per assignment.
+///   - Workers are forked ONCE (lazily respawned on death). Each holds
+///     stdio and one end of its own socketpair(AF_UNIX, SOCK_STREAM),
+///     nothing else. Both directions carry the journal's kind-tagged
+///     frame codec (sweep/Checkpoint.h FrameKind): the host sends a Job
+///     frame (the spec bytes) before a worker's first slot of each job,
+///     then Slot frames (slot, attempt); the worker runs its slots in
+///     order and answers each with a SlotRecord frame (plus a
+///     TimelineChunk when traced).
 ///
-///   - Results flow back through a per-worker shared-memory arena: the
-///     worker appends kind-tagged checkpoint frames (SlotRecord +
-///     TimelineChunk, the same codec the journal uses) to a SPSC
-///     byte ring and rings a one-byte pipe doorbell so the parent's
-///     poll() wakes. The ring's Produced cursor is a COMMIT CURSOR:
-///     advanced only over fully-written bytes, so whatever the parent
-///     drains after a worker death is an intact stream prefix — complete
-///     frames are salvaged, the partial tail is discarded, and a record
-///     the worker finished is NEVER lost or re-executed (the
-///     zero-lost-non-faulted-records invariant, now syscall-free).
+///   - The host queues the job's (slot, attempt) pairs and hands each
+///     live worker at most a small constant number of them, keeping a
+///     FIFO of the slots each worker holds. A record must answer the
+///     front of its worker's FIFO; anything else is a corrupt stream and
+///     the worker is killed.
 ///
-/// Multi-job reuse (the daemon-pool headroom from ROADMAP item 1): a
-/// std::function body cannot cross a fork that already happened, so a
-/// PoolHost treats job recipes as DATA. Each run() writes the job's spec
-/// bytes into a shared-memory spec arena and a job-descriptor table;
-/// work-ring entries carry the job index; and a SpecResolver — fixed at
-/// host construction, BEFORE any fork, so every worker inherits it —
-/// rebuilds the ResilientOptions (body included) worker-side from the
-/// spec bytes. The same resolver runs parent-side for the checkpoint
-/// meta and the degradation rungs, so both sides of the fork boundary
-/// agree on the recipe by construction. When the append-only work ring,
-/// the spec arena, or the job table fills, the host RECYCLES: drains,
-/// retires the workers, and remaps — so cursor monotonicity (which the
-/// claim protocol depends on) is never violated by reuse, and fork cost
-/// stays O(pool size) per ring capacity of entries rather than
-/// O(jobs x pool size).
+///   - End of file on a worker's socket is its death. The host reads the
+///     stream to its end first, so every record the worker sent before
+///     dying is delivered and never re-executed; the front of the FIFO
+///     is then the victim, and the slots behind it go back to the queue
+///     uncharged. Every unresolved slot is always either queued or held
+///     by a live worker, so a lost record cannot hang a run; nothing has
+///     a fixed capacity, so a warm host never re-forks.
+///
+/// Multi-job reuse: a std::function body cannot cross a fork that
+/// already happened, so a PoolHost treats job recipes as DATA. The Job
+/// frame carries the job's spec bytes, and a SpecResolver — fixed at host
+/// construction, BEFORE any fork, so every worker inherits it — rebuilds
+/// the ResilientOptions (body included) worker-side from them. The same
+/// resolver runs parent-side for the checkpoint meta and the in-process
+/// rung, so both sides of the fork boundary agree on the recipe by
+/// construction.
 ///
 /// Robustness is the design, not a side effect:
 ///
 ///   - Lazy respawn with exponential backoff: a dead worker is replaced
-///     only when unclaimed work exists, and a crash storm stretches the
+///     only when queued work exists, and a crash storm stretches the
 ///     respawn interval (RespawnBackoffMicros doubling up to the cap,
 ///     reset by any delivered record) so a poison workload cannot
 ///     fork-bomb the parent.
@@ -62,42 +61,40 @@
 ///     PoisonWorkerDeaths tightens that to K consecutive deaths for
 ///     hosts that want faster containment than the attempt budget.
 ///
+///   - Stall kills: a worker that holds slots but has answered nothing
+///     for WorkerStallMillis is SIGKILLed (FaultClass::Watchdog).
+///
 ///   - Cooperative cancellation (PoolRunRequest::CancelFlag): the host
-///     stops claiming on behalf of the job, SIGKILLs the workers, then
-///     salvages every committed frame from their arenas into the journal
-///     before resetting — a cancelled run loses only uncommitted work,
-///     and a Resume re-run finishes the job bit-identically. This is
-///     what the service's SIGTERM drain and job deadlines stand on.
+///     SIGKILLs the workers, reaps them, reads their sockets to the end
+///     and journals every record that arrived — a cancelled run loses
+///     only unfinished work, and a Resume re-run finishes the job
+///     bit-identically. This is what the service's SIGTERM drain and job
+///     deadlines stand on.
 ///
 ///   - Death classification is one function (classifyChildDeath,
-///     sweep/Sandbox.h): Watchdog (stall-killed by the supervisor),
-///     Signal, OomKill, Rlimit, PartialExit — one set of detail strings,
-///     so journal comparisons hold even for quarantined slots.
+///     sweep/Sandbox.h): Watchdog (killed by the supervisor), Signal,
+///     OomKill, Rlimit, PartialExit — one set of detail strings, so
+///     journal comparisons hold even for quarantined slots.
 ///
-///   - Graceful degradation: no fork, no usable shared memory, an mmap
-///     that refuses the job's mapping, a job for which not one worker
-///     could be forked (the mapping is dropped, so the next job's
-///     workers claim nothing of it), or ForceForkFree -> the plain
-///     in-process resilient path, where process-lethal injected faults
-///     downgrade to foreign exceptions (inject::inSandbox); no futex ->
-///     the pool runs with sleep-poll signalling. Every rung reaches
-///     bit-identical sweep aggregates and quarantine decisions through
-///     the unified attempt budget; only the containment strength and
-///     speed change. PoolStats reports which rung ran.
+///   - Graceful degradation: no fork (or no socket) for even one worker
+///     of a job, or ForceForkFree -> the plain in-process resilient path,
+///     where process-lethal injected faults downgrade to foreign
+///     exceptions (inject::inSandbox). Both rungs reach bit-identical
+///     sweep aggregates and quarantine decisions through the unified
+///     attempt budget; only the containment strength and speed change.
+///     PoolStats reports which rung ran.
 ///
-/// Sandboxing and fd passing: workers enter the PR-4 inject sandbox,
-/// apply the PR-5 rlimits, then optionally tighten with landlock (deny
-/// all filesystem writes) and seccomp — each layer probed at runtime and
-/// skipped without error where the kernel lacks it (sweep/Sandbox.h).
-/// Every fd a worker needs is pre-opened by the parent and inherited:
-/// the shm mapping pre-fork, the doorbell pipe at spawn, and the journal
-/// never crosses at all (records travel through the arena; the parent
-/// appends). Workers therefore open NOTHING, and DenyFileOpens (default
-/// on) has the seccomp tier drop open/openat/openat2/creat outright
-/// instead of merely denying write-mode flags. With UseCgroupMemory and
-/// a writable cgroup-v2 memory controller, workers run under real
-/// `memory.max` accounting and OOM classification reads `memory.events`
-/// instead of the RLIMIT_AS + exit-97 convention (sweep/Cgroup.h).
+/// Sandboxing: workers enter the inject sandbox, apply RLIMIT_AS (as
+/// headroom above the host's size) and no core files, then optionally
+/// tighten with landlock (deny all filesystem writes) and seccomp — each
+/// layer probed at runtime and skipped without error where the kernel
+/// lacks it (sweep/Sandbox.h). The journal never crosses the fork:
+/// records travel over the socket and the parent appends them. Workers
+/// therefore open NOTHING, and the seccomp tier denies every open. With
+/// UseCgroupMemory and a writable cgroup-v2 memory controller, workers
+/// run under real `memory.max` accounting and OOM classification reads
+/// `memory.events` instead of the RLIMIT_AS + exit-97 convention
+/// (sweep/Cgroup.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -130,8 +127,8 @@ struct PoolStats {
   /// Slots quarantined where every charged attempt ended in a worker
   /// death — the poison-slot containment firing.
   uint64_t PoisonSlots = 0;
-  /// Frame bytes drained from worker arenas.
-  uint64_t ArenaBytesReceived = 0;
+  /// Frame bytes read from worker sockets.
+  uint64_t BytesReceived = 0;
   /// Flight-recorder chunks stitched from workers (0 unless traced).
   uint64_t TimelineChunks = 0;
   /// Respawns deferred by the backoff policy, and the total configured
@@ -142,11 +139,8 @@ struct PoolStats {
   SandboxTier Tier = SandboxTier::RlimitOnly;
   /// True when workers ran under cgroup-v2 memory accounting.
   bool CgroupMemory = false;
-  /// True when pool signalling used futexes (false = sleep-poll rung).
-  bool FutexSignalled = false;
   /// True when the in-process rung ran (sweep::resilient) instead of a
-  /// pool: no fork, no usable shared memory, mmap refused the job's
-  /// mapping, no worker could be forked, or ForceForkFree.
+  /// pool: no worker could be forked, or ForceForkFree.
   bool ForkFree = false;
   /// True when CancelFlag ended the run before every slot resolved.
   bool Cancelled = false;
@@ -191,31 +185,14 @@ struct PoolHostOptions {
   /// Recipe resolver; required. Fixed at construction so it exists
   /// before the first fork.
   SpecResolver Resolve;
-  /// Work-ring capacity floor, entries. A job needing more than remains
-  /// triggers a recycle; a single job needing more than this gets a
-  /// ring sized to it at (re)map time.
-  uint32_t RingEntries = 4096;
-  /// Spec-arena capacity floor, bytes (same growth rule).
-  uint64_t SpecArenaBytes = 64 << 10;
-  /// Job-table capacity between recycles.
-  uint32_t MaxJobs = 256;
-  /// Per-worker result-arena capacity, bytes. Frames larger than the
-  /// arena still flow (the producer streams them in ring-sized pieces);
-  /// a smaller arena only costs wakeups.
-  uint64_t ArenaBytes = 256 << 10;
-  /// Worker rlimits; 0 leaves a limit unset. RlimitAsBytes is HEADROOM:
-  /// a worker starts with its host's whole address space, so its
-  /// RLIMIT_AS is the host's size at fork() plus this many bytes. It
-  /// turns a runaway allocation into a clean exit(inject::OomExitCode),
-  /// and is skipped when cgroup memory accounting is active (the cgroup
-  /// bounds real memory instead, with RlimitAsBytes as memory.max).
-  /// RLIMIT_CPU (seconds) fires SIGXCPU, classified Rlimit. RLIMIT_STACK
-  /// (bytes) bounds only the worker's main thread; fiber stacks are heap
-  /// allocations.
+  /// Worker address-space HEADROOM, bytes (0 leaves RLIMIT_AS unset): a
+  /// worker starts with its host's whole address space, so its RLIMIT_AS
+  /// is the host's size at fork() plus this many bytes. It turns a
+  /// runaway allocation into a clean exit(inject::OomExitCode), and is
+  /// skipped when cgroup memory accounting is active (the cgroup bounds
+  /// real memory instead, with RlimitAsBytes as memory.max).
   uint64_t RlimitAsBytes = 256ull << 20;
-  uint64_t RlimitCpuSeconds = 0;
-  uint64_t RlimitStackBytes = 0;
-  /// Stall deadline, ms: a worker that owns a slot and delivers nothing
+  /// Stall deadline, ms: a worker that holds slots and answers nothing
   /// for this long is SIGKILLed (FaultClass::Watchdog). 0 disables.
   uint64_t WorkerStallMillis = 30'000;
   /// Quarantine a slot after this many worker deaths, even with attempt
@@ -235,22 +212,17 @@ struct PoolHostOptions {
   /// rlimit-only sandbox is the behavior-compatible baseline.
   bool EnableSeccomp = false;
   bool EnableLandlock = false;
-  /// With seccomp on, deny open/openat/openat2/creat outright instead
-  /// of just write-mode opens. Sound here by construction — workers
-  /// inherit every fd pre-opened (see file comment) — so it defaults
-  /// on; it is a no-op unless EnableSeccomp is set and takes.
-  bool DenyFileOpens = true;
   /// cgroup-v2 memory accounting opt-in (sweep/Cgroup.h). Silently
   /// falls back to RLIMIT_AS + exit-97 when the host says no.
   bool UseCgroupMemory = false;
-  /// Degradation forcing, for tests and hosts that know better:
-  bool ForceForkFree = false; ///< skip straight to in-process resilient
-  bool ForceNoFutex = false;  ///< pool with sleep-poll signalling
+  /// Skip straight to in-process resilient, for tests and hosts that
+  /// know better.
+  bool ForceForkFree = false;
 };
 
 /// One job handed to PoolHost::run. Spec bytes cross the fork boundary
-/// (via the spec arena); everything else is parent-side machinery and
-/// never does.
+/// (in a Job frame); everything else is parent-side machinery and never
+/// does.
 struct PoolRunRequest {
   /// Recipe bytes for the SpecResolver.
   std::vector<uint8_t> Spec;
@@ -273,8 +245,7 @@ struct PoolRunRequest {
 struct PoolHostStats {
   uint64_t JobsRun = 0;     ///< run() calls that reached the pool rung
   uint64_t TotalSpawns = 0; ///< forks over the host's lifetime
-  uint64_t Recycles = 0;    ///< ring/arena/job-table exhaustion resets
-  uint64_t CancelTeardowns = 0; ///< cancelled runs that reset the pool
+  uint64_t CancelTeardowns = 0; ///< cancelled runs that killed the pool
 };
 
 /// A persistent fork-server pool serving a sequence of jobs. NOT
@@ -287,12 +258,13 @@ public:
   PoolHost(const PoolHost &) = delete;
   PoolHost &operator=(const PoolHost &) = delete;
 
-  /// Runs one job to completion (or cancellation) on the pool,
-  /// degrading exactly as pooled() does when fork/shm are unavailable.
+  /// Runs one job to completion (or cancellation) on the pool, running
+  /// it in-process when not one worker can be forked.
   PoolResult run(const PoolRunRequest &Req);
 
-  /// Retires the workers and unmaps the shared state. Idempotent;
-  /// run() after shutdown() starts a fresh pool.
+  /// Retires the workers: closes their sockets, waits a grace window
+  /// for them to exit and SIGKILLs stragglers. Idempotent; run() after
+  /// shutdown() starts a fresh pool.
   void shutdown();
 
   const PoolHostStats &hostStats() const;
@@ -313,15 +285,10 @@ struct PoolOptions {
   /// pool WORKERS (0 = hardware concurrency, clamped to pending slots).
   ResilientOptions Base;
   /// Pool knobs. pooled() ignores Host.Workers (it takes the worker
-  /// count from Base.Threads) and sets Resolve, RingEntries,
-  /// SpecArenaBytes and MaxJobs itself, sizing the mapping to the one
-  /// job; every other field applies as set.
+  /// count from Base.Threads) and sets Resolve itself; every other field
+  /// applies as set.
   PoolHostOptions Host;
 };
-
-/// True when this build/platform can run a real pool (fork + shared
-/// memory). False still leaves pooled() callable — it degrades.
-bool pooledAvailable();
 
 /// Runs one sweep on a single-use pool: constructs a PoolHost whose
 /// resolver returns Opts.Base (captured BEFORE the fork, so the body

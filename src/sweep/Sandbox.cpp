@@ -4,26 +4,16 @@
 
 #include "inject/Fault.h"
 
+#include <cerrno>
+#include <cstddef>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/wait.h>
-#define GRS_HAVE_WAIT 1
-#endif
-
-#if defined(__linux__)
-#include <fcntl.h>
-#include <linux/audit.h>
 #include <linux/filter.h>
 #include <linux/seccomp.h>
 #include <sys/prctl.h>
 #include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
-#include <cerrno>
-#include <cstddef>
-#include <cstring>
-#define GRS_HAVE_LINUX_SANDBOX 1
-#endif
 
 using namespace grs;
 using namespace grs::sweep;
@@ -35,7 +25,6 @@ using namespace grs::sweep;
 ChildDeath sweep::classifyChildDeath(int Status, bool SupervisorKilled) {
   if (SupervisorKilled)
     return {FaultClass::Watchdog, "supervisor killed stalled child"};
-#if GRS_HAVE_WAIT
   if (WIFSIGNALED(Status)) {
     int Sig = WTERMSIG(Status);
     if (Sig == SIGXCPU)
@@ -56,9 +45,6 @@ ChildDeath sweep::classifyChildDeath(int Status, bool SupervisorKilled) {
             "child exited with code " + std::to_string(Code) +
                 " before completing its batch"};
   }
-#else
-  (void)Status;
-#endif
   return {FaultClass::Signal, "child ended unrecognizably"};
 }
 
@@ -79,8 +65,6 @@ const char *sweep::sandboxTierName(SandboxTier T) {
   }
   return "rlimit_only";
 }
-
-#if GRS_HAVE_LINUX_SANDBOX
 
 //===----------------------------------------------------------------------===//
 // Landlock (syscall numbers + ABI structs defined locally: the header
@@ -152,8 +136,9 @@ bool applyLandlock() {
 /// an allow-list would turn every libc upgrade into a kill storm. The
 /// denied families are the ones a confined compute worker has no
 /// business in: spawning processes, tracing, networking, mounting,
-/// privilege changes, and opening files for writing.
-bool applySeccomp(bool DenyFileOpens) {
+/// privilege changes, and opening files at all (a pool worker is handed
+/// its one socket at fork and opens nothing).
+bool applySeccomp() {
   if (prctl(PR_SET_NO_NEW_PRIVS, 1, 0, 0, 0) != 0)
     return false;
 
@@ -236,75 +221,34 @@ bool applySeccomp(bool DenyFileOpens) {
 #ifdef SYS_setregid
     SYS_setregid,
 #endif
+#ifdef SYS_open
+    SYS_open,
+#endif
+#ifdef SYS_openat
+    SYS_openat,
+#endif
+#ifdef SYS_openat2
+    SYS_openat2,
+#endif
+#ifdef SYS_creat
+    SYS_creat,
+#endif
   };
-  // open/openat/creat are denied only when the flags ask for write
-  // access or creation; read-only opens stay allowed.
-  constexpr uint32_t WriteFlags = O_WRONLY | O_RDWR | O_CREAT;
 
   std::vector<struct sock_filter> Prog;
-  auto Stmt = [&](uint16_t Code, uint32_t K) {
-    Prog.push_back(BPF_STMT(Code, K));
-  };
   // Load the syscall number.
-  Stmt(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, nr));
-
+  Prog.push_back(
+      BPF_STMT(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, nr)));
   for (int Nr : DeniedOutright) {
     // if (nr == Nr) return Deny
     Prog.push_back(BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, (uint32_t)Nr, 0, 1));
-    Stmt(BPF_RET | BPF_K, Deny);
+    Prog.push_back(BPF_STMT(BPF_RET | BPF_K, Deny));
   }
 
-  // Flag-gated opens. Layout per syscall (flags arg index differs):
-  //   if (nr != N) skip the 5-instruction gate body, landing on the
-  //                nr reload that starts the next test
-  //   A = args[flagIdx] (low word)
-  //   A &= WriteFlags
-  //   if (A == 0) return Allow
-  //   return Deny
-  // Under DenyFileOpens the gate collapses to an unconditional deny:
-  // the fd-passing pool hands workers every fd pre-opened, so any open
-  // at all is off-contract.
-  auto FlagGate = [&](int Nr, int FlagArg) {
-    if (DenyFileOpens) {
-      Prog.push_back(BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, (uint32_t)Nr, 0, 1));
-      Stmt(BPF_RET | BPF_K, Deny);
-      return;
-    }
-    Prog.push_back(BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, (uint32_t)Nr, 0, 5));
-    Stmt(BPF_LD | BPF_W | BPF_ABS,
-         (uint32_t)(offsetof(struct seccomp_data, args) +
-                    (size_t)FlagArg * sizeof(uint64_t)));
-    Stmt(BPF_ALU | BPF_AND | BPF_K, WriteFlags);
-    Prog.push_back(BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, 0, 0, 1));
-    Stmt(BPF_RET | BPF_K, Allow);
-    Stmt(BPF_RET | BPF_K, Deny);
-    // Reload nr for the next test.
-    Stmt(BPF_LD | BPF_W | BPF_ABS, offsetof(struct seccomp_data, nr));
-  };
-#ifdef SYS_open
-  FlagGate(SYS_open, 1);
-#endif
-#ifdef SYS_openat
-  FlagGate(SYS_openat, 2);
-#endif
-#ifdef SYS_openat2
-  // openat2's flags live in a struct; denying it wholesale is the
-  // conservative move (libc uses openat).
-  Prog.push_back(
-      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, (uint32_t)SYS_openat2, 0, 1));
-  Stmt(BPF_RET | BPF_K, Deny);
-#endif
-#ifdef SYS_creat
-  // creat() always creates: deny outright.
-  Prog.push_back(
-      BPF_JUMP(BPF_JMP | BPF_JEQ | BPF_K, (uint32_t)SYS_creat, 0, 1));
-  Stmt(BPF_RET | BPF_K, Deny);
-#endif
-
   // Everything else — including timer_create/timer_settime (the
-  // watchdog's per-thread timer), mmap/brk (allocator), futex (pool
-  // signalling) — is allowed.
-  Stmt(BPF_RET | BPF_K, Allow);
+  // watchdog's per-thread timer), mmap/brk (allocator), futex (locks) and
+  // read/write/sendto on the inherited socket — is allowed.
+  Prog.push_back(BPF_STMT(BPF_RET | BPF_K, Allow));
 
   struct sock_fprog FProg;
   FProg.len = (unsigned short)Prog.size();
@@ -322,14 +266,14 @@ bool sweep::seccompSupported() {
 
 bool sweep::landlockSupported() { return landlockAbiVersion() >= 1; }
 
-SandboxTier sweep::applyWorkerSandbox(bool EnableSeccomp, bool EnableLandlock,
-                                      bool DenyFileOpens) {
+SandboxTier sweep::applyWorkerSandbox(bool EnableSeccomp,
+                                      bool EnableLandlock) {
   bool LandlockOn = EnableLandlock && landlockSupported() && applyLandlock();
   // Seccomp last: once the filter is live every later syscall is subject
   // to it (landlock_restrict_self is not on the deny-list, but ordering
   // this way keeps the layers independent).
   bool SeccompOn =
-      EnableSeccomp && seccompSupported() && applySeccomp(DenyFileOpens);
+      EnableSeccomp && seccompSupported() && applySeccomp();
   if (SeccompOn && LandlockOn)
     return SandboxTier::SeccompLandlock;
   if (SeccompOn)
@@ -338,14 +282,3 @@ SandboxTier sweep::applyWorkerSandbox(bool EnableSeccomp, bool EnableLandlock,
     return SandboxTier::Landlock;
   return SandboxTier::RlimitOnly;
 }
-
-#else // !GRS_HAVE_LINUX_SANDBOX
-
-bool sweep::seccompSupported() { return false; }
-bool sweep::landlockSupported() { return false; }
-
-SandboxTier sweep::applyWorkerSandbox(bool, bool, bool) {
-  return SandboxTier::RlimitOnly;
-}
-
-#endif // GRS_HAVE_LINUX_SANDBOX

@@ -19,24 +19,24 @@
 ///    inject::enterSandbox() and the rlimits. Tiers stack, each opt-in
 ///    and individually probed at runtime:
 ///
-///      RlimitOnly      — the PR-5 baseline: RLIMIT_AS/CPU/STACK, no
-///                        core files. Always available.
+///      RlimitOnly      — the baseline: RLIMIT_AS headroom, no core
+///                        files. Always available.
 ///      + Landlock      — an LSM ruleset that denies all filesystem
 ///                        WRITE access (the worker only computes and
-///                        writes to inherited fds / shared memory).
+///                        writes to its inherited socket).
 ///      + Seccomp       — a BPF deny-list: no execve, no fork, no
-///                        ptrace, no sockets, no mount/chroot/reboot,
-///                        no setuid, no opening files for writing. The
-///                        list must stay permissive enough for the
-///                        runtime itself (clone for the watchdog
-///                        thread, mmap/brk for the allocator, futex).
+///                        ptrace, no new sockets, no mount/chroot/reboot,
+///                        no setuid, no opening files at all. The list
+///                        must stay permissive enough for the runtime
+///                        itself (timer_create for the watchdog,
+///                        mmap/brk for the allocator, futex).
 ///
 ///    Probing is non-destructive in the parent (capability checks
 ///    only); application is destructive and happens once per worker,
 ///    post-fork. Every failure degrades to the previous tier — a kernel
 ///    without landlock or seccomp runs the exact PR-5 sandbox, never a
-///    hard failure. The tier actually applied is reported back through
-///    worker state so PoolStats and the `grs_isolation_sandbox_tier`
+///    hard failure. The tier actually applied is reported back over the
+///    worker's socket so PoolStats and the `grs_isolation_sandbox_tier`
 ///    gauge tell the truth per host.
 ///
 //===----------------------------------------------------------------------===//
@@ -93,16 +93,12 @@ bool landlockSupported();
 /// inject::enterSandbox() and rlimits. Each layer that fails is skipped
 /// (graceful fallback, never fatal); the returned tier reflects what
 /// actually took. With both flags false this is a no-op returning
-/// RlimitOnly — the PR-5 behavior, byte for byte.
+/// RlimitOnly.
 ///
-/// \p DenyFileOpens tightens the seccomp tier from "no opening files
-/// for writing" to "no opening files at all" (open/openat join
-/// openat2/creat on the outright deny-list). Only sound when the parent
-/// pre-opened every fd the worker needs — shm mapped pre-fork, doorbell
-/// pipes passed at spawn, journal held parent-side — which is exactly
-/// the fork-server pool's fd-passing discipline.
-SandboxTier applyWorkerSandbox(bool EnableSeccomp, bool EnableLandlock,
-                               bool DenyFileOpens = false);
+/// The seccomp tier denies open/openat/openat2/creat outright. That is
+/// sound only because a pool worker needs no file: it is handed its one
+/// socket at fork and the parent holds the journal.
+SandboxTier applyWorkerSandbox(bool EnableSeccomp, bool EnableLandlock);
 
 } // namespace sweep
 } // namespace grs

@@ -522,20 +522,16 @@ INSTANTIATE_TEST_SUITE_P(Plans, ChaosFuzz, ::testing::Range<uint64_t>(1, 4));
 // Pool chaos fuzzing: random fault plans drawn from the PROCESS-LETHAL
 // kinds (plus GoPanic for in-process contrast), pointed at the persistent
 // worker pool. The properties are the containment layer's acceptance
-// criteria: worker deaths never lose a slot record even though results
-// travel through shared-memory rings with commit-cursor salvage, the
-// unified attempt budget keeps pooled quarantine decisions identical to
-// the fork-free downgrade's, and the untouched slots stay bit-identical
-// to the fault-free sweep. Tiny
-// arenas on half the plans force ring wraparound and mid-stream worker
-// deaths, so the salvage path runs under fire, not just in unit tests.
+// criteria: worker deaths never lose a slot record even though each dead
+// worker's records are salvaged from its socket and the slots it held
+// are requeued, the unified attempt budget keeps pooled quarantine
+// decisions identical to the fork-free downgrade's, and the untouched
+// slots stay bit-identical to the fault-free sweep.
 //===----------------------------------------------------------------------===//
 
 class PoolChaosFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
-  if (!sweep::pooledAvailable())
-    GTEST_SKIP() << "no fork()+shm on this platform";
   ProgramShape S = makeShape(GetParam() * 223, /*Bugged=*/true);
   const uint64_t NumSeeds = 12;
 
@@ -566,10 +562,6 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
   // Roomy headroom above the gtest parent's address space, so only
   // HeapExhaustion should be able to hit the cap (see PoolTest).
   Pool.Host.RlimitAsBytes = 768ull << 20;
-  // Odd plans squeeze the arena so every worker's ring wraps and deaths
-  // land mid-stream; even plans run the comfortable default.
-  if (GetParam() % 2)
-    Pool.Host.ArenaBytes = 256;
   std::string Journal = ::testing::TempDir() + "grs-pool-chaos-" +
                         std::to_string(GetParam()) + ".ckpt";
   std::remove(Journal.c_str());
@@ -579,8 +571,8 @@ TEST_P(PoolChaosFuzz, RandomLethalPlansAreContainedByThePool) {
       << Pooled.Res.CheckpointError;
   EXPECT_FALSE(Pooled.Stats.ForkFree);
 
-  // No lost slot records: despite worker deaths and ring salvage, the
-  // journal covers every slot exactly once.
+  // No lost slot records: despite worker deaths and salvage, the journal
+  // covers every slot exactly once.
   sweep::CheckpointLoad Load;
   std::string Error;
   ASSERT_TRUE(sweep::loadCheckpoint(Journal, Load, Error)) << Error;

@@ -4,22 +4,25 @@
 // Real-World Data Races in Golang" (PLDI 2022).
 //
 // The containment battery for the POOLED robustness layer (sweep::pooled).
-// Workers outlive their slots, assignments flow through a shared-memory
-// work ring, and results come back through per-worker shm arenas with a
-// commit cursor. This file pins:
+// Workers outlive their slots and jobs; each trades slot assignments and
+// records with its host over one socket. This file pins:
 //
 //  * PARITY — fault-free sweeps agree bit-for-bit across {pipeline::sweep,
-//    resilient, pooled serial, pooled parallel} and every degradation rung
-//    (ForceForkFree -> in-process resilient, ForceNoFutex -> sleep-poll);
-//  * TRANSPORT — the shm byte ring round-trips frames across wraparound,
-//    and the frame parser salvages the intact prefix of an interrupted
-//    stream while discarding the partial tail (crash-mid-commit);
+//    resilient, pooled serial, pooled parallel} and the in-process rung
+//    (ForceForkFree);
+//  * TRANSPORT — the frame parser salvages the intact prefix of an
+//    interrupted stream while discarding the partial tail
+//    (crash-mid-send); the shm byte ring the repo benchmark still probes
+//    round-trips frames across wraparound;
 //  * CONTAINMENT — worker deaths classify by cause, never lose a record,
-//    and never re-execute a slot whose record was delivered; a slot that
+//    and never re-execute a slot whose record was delivered; the slots a
+//    dead worker held behind its victim run again uncharged; a slot that
 //    kills every worker it touches is quarantined on the unified attempt
 //    budget with the same seed set and attempt counts the fork-free
 //    downgrade records, and is counted as a poison slot;
 //    PoisonWorkerDeaths=K quarantines early; a stalled worker is killed;
+//  * FLEET — a warm host serves job after job without re-forking, and two
+//    hosts in one process retire independently;
 //  * BACKOFF — a chronic crash storm stretches respawns by the documented
 //    exponential trajectory instead of fork-bombing the parent;
 //  * SANDBOX/CGROUP — the opt-in seccomp/landlock tiers and cgroup memory
@@ -50,11 +53,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <set>
 #include <thread>
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/resource.h>
@@ -147,13 +153,6 @@ sweep::PoolOptions lethalOptions(const inject::FaultPlan &Plan) {
   // storm hits it.
   PO.Host.RlimitAsBytes = 768ull << 20;
   return PO;
-}
-
-TEST(Pool, PooledIsAvailableOnThisPlatform) {
-  // The pool guarantees below are only meaningful where fork + shared
-  // memory actually exist; the degradation rungs are covered separately.
-  EXPECT_TRUE(sweep::pooledAvailable());
-  EXPECT_TRUE(support::shmAvailable());
 }
 
 //===----------------------------------------------------------------------===//
@@ -310,7 +309,7 @@ TEST(Pool, FaultFreeParityAcrossExecutorsAndRungs) {
   EXPECT_EQ(SR.Stats.WorkerSpawns, 1u);
   EXPECT_EQ(SR.Stats.deaths(), 0u) << "a fault-free sweep kills no worker";
   EXPECT_EQ(SR.Stats.Respawns, 0u);
-  EXPECT_GT(SR.Stats.ArenaBytesReceived, 0u);
+  EXPECT_GT(SR.Stats.BytesReceived, 0u);
 
   sweep::PoolOptions Parallel = PO;
   Parallel.Base.Threads = 4;
@@ -318,30 +317,12 @@ TEST(Pool, FaultFreeParityAcrossExecutorsAndRungs) {
   EXPECT_EQ(PR.Res, InProcess) << "multi-worker pool diverged";
   EXPECT_EQ(PR.Stats.WorkerSpawns, 4u);
 
-  sweep::PoolOptions NoFutex = PO;
-  NoFutex.Host.ForceNoFutex = true;
-  sweep::PoolResult NF = sweep::pooled(NoFutex);
-  EXPECT_EQ(NF.Res, InProcess) << "sleep-poll rung diverged";
-  EXPECT_FALSE(NF.Stats.FutexSignalled);
-
   sweep::PoolOptions ForkFree = PO;
   ForkFree.Host.ForceForkFree = true;
   sweep::PoolResult FF = sweep::pooled(ForkFree);
   EXPECT_EQ(FF.Res, InProcess) << "fork-free rung diverged";
   EXPECT_TRUE(FF.Stats.ForkFree);
   EXPECT_EQ(FF.Stats.WorkerSpawns, 0u);
-}
-
-TEST(Pool, TinyArenaWrapsAndStaysBitIdentical) {
-  // An arena much smaller than the result stream: every worker's ring
-  // wraps many times and large frames stream through in pieces, yet the
-  // merged result is still byte-for-byte the in-process one.
-  sweep::PoolOptions PO = baseOptions(corpus::hostBody(racyBody), 24);
-  sweep::ResilientResult InProcess = sweep::resilient(PO.Base);
-  PO.Host.ArenaBytes = 512;
-  sweep::PoolResult R = sweep::pooled(PO);
-  EXPECT_EQ(R.Res, InProcess);
-  EXPECT_GT(R.Stats.ArenaBytesReceived, 512u) << "the ring must have wrapped";
 }
 
 //===----------------------------------------------------------------------===//
@@ -377,7 +358,7 @@ TEST(Pool, StitchedTimelineMatchesForkFreeSlotSpans) {
   sweep::PoolResult R = sweep::pooled(PO);
   ASSERT_FALSE(R.Stats.ForkFree);
   EXPECT_GT(R.Stats.TimelineChunks, 0u)
-      << "workers must forward their tracks through the arena";
+      << "workers must forward their tracks through their sockets";
 
   sweep::PoolOptions FFO = PO;
   FFO.Host.ForceForkFree = true;
@@ -588,7 +569,7 @@ TEST(Pool, LethalDeathsClassifiedAndContained) {
 
   // Containment: every slot the plan did not touch is bit-identical to
   // the fault-free sweep's record — a worker death never loses a record
-  // a sibling (or the victim itself, pre-death) committed to its arena.
+  // a sibling (or the victim itself, pre-death) sent over its socket.
   sweep::PoolOptions Clean = PO;
   Clean.Base.Body = corpus::hostBody(racyBody);
   std::string CleanJournal = tempPath("lethal-clean.ckpt");
@@ -660,9 +641,9 @@ TEST(Pool, FleetSweepParityAndWarmRunsForkNothing) {
 }
 
 // A job for which not one worker can be forked runs in-process, and leaves
-// nothing published behind: the next job's workers claim only that job's
-// own entries. pipe() fails for job A here because every descriptor below
-// a lowered RLIMIT_NOFILE is held.
+// nothing behind: the next job's workers run only that job's own slots.
+// socketpair() fails for job A here because every descriptor below a
+// lowered RLIMIT_NOFILE is held.
 TEST(Pool, NoForkFallbackLeavesNothingForTheNextJob) {
   sweep::ResilientOptions A = baseOptions(corpus::hostBody(racyBody), 24).Base;
   sweep::ResilientOptions B = A;
@@ -708,6 +689,134 @@ TEST(Pool, NoForkFallbackLeavesNothingForTheNextJob) {
   EXPECT_TRUE(RB.Res.Sweep.Findings.empty()) << "job A's findings leaked";
   EXPECT_EQ(RB.Res, WantB);
   Host.shutdown();
+}
+
+// Nothing in the pool's transport has a capacity to run out of, so a warm
+// host serves job after job on the workers it forked for the first one.
+TEST(Pool, WarmHostServesManyJobsWithoutReforking) {
+  sweep::ResilientOptions Base =
+      baseOptions(corpus::hostBody(racyBody), 100).Base;
+  Base.MaxAttempts = 1;
+  sweep::PoolHostOptions HO;
+  HO.Workers = 2;
+  HO.Resolve = [Base](const uint8_t *, size_t, sweep::ResilientOptions &Out) {
+    Out = Base;
+    return true;
+  };
+  sweep::PoolHost Host(std::move(HO));
+  sweep::ResilientResult InProcess = sweep::resilient(Base);
+  sweep::PoolRunRequest Job;
+  for (int J = 0; J < 50; ++J) {
+    sweep::PoolResult R = Host.run(Job);
+    ASSERT_FALSE(R.Stats.ForkFree);
+    ASSERT_EQ(R.Res, InProcess) << "job " << J << " diverged";
+  }
+  EXPECT_EQ(Host.hostStats().JobsRun, 50u);
+  EXPECT_EQ(Host.hostStats().TotalSpawns, 2u);
+  Host.shutdown();
+}
+
+// One worker holds all eight slots when seed 3 kills it on its first
+// attempt. The five slots queued behind seed 3 never started: they run
+// on the replacement at their first attempt, and only seed 3 is charged.
+TEST(Pool, QueuedSlotsOfADeadWorkerRunUncharged) {
+  inject::FaultPlan Plan;
+  inject::FaultSpec Transient;
+  Transient.Kind = inject::FaultKind::AbortCall;
+  Transient.LethalAttempts = 1;
+  Plan.BySeed[3] = Transient;
+  sweep::PoolOptions PO =
+      baseOptions(inject::instrumentedRunner(racyBody, Plan), 8);
+  PO.Base.Threads = 1;
+  PO.Host.RlimitAsBytes = 768ull << 20;
+  std::string Journal = tempPath("uncharged.ckpt");
+  std::remove(Journal.c_str());
+  PO.Base.CheckpointPath = Journal;
+  sweep::PoolResult R = sweep::pooled(PO);
+  ASSERT_FALSE(R.Stats.ForkFree);
+  EXPECT_EQ(R.Stats.deaths(), 1u);
+  EXPECT_TRUE(R.Res.Quarantined.empty());
+
+  sweep::CheckpointLoad Load;
+  std::string Error;
+  ASSERT_TRUE(sweep::loadCheckpoint(Journal, Load, Error)) << Error;
+  std::remove(Journal.c_str());
+  ASSERT_EQ(Load.Records.size(), 8u);
+  for (const sweep::SlotRecord &Rec : Load.Records)
+    EXPECT_EQ(Rec.Attempts, Rec.Seed == 3 ? 2u : 1u) << "seed " << Rec.Seed;
+
+  sweep::PoolOptions FF = PO;
+  FF.Host.ForceForkFree = true;
+  FF.Base.CheckpointPath.clear();
+  EXPECT_EQ(R.Res, sweep::pooled(FF).Res);
+}
+
+/// The descriptors process \p Pid holds.
+std::set<int> openFds(pid_t Pid) {
+  std::set<int> Fds;
+  std::string Dir = "/proc/" + std::to_string(Pid) + "/fd";
+  if (DIR *D = opendir(Dir.c_str())) {
+    while (dirent *E = readdir(D))
+      if (E->d_name[0] != '.')
+        Fds.insert(std::atoi(E->d_name));
+    closedir(D);
+  }
+  return Fds;
+}
+
+/// The pids of the workers whose tracks \p Tl stitched.
+std::set<pid_t> workerPids(const obs::Timeline &Tl) {
+  std::set<pid_t> Pids;
+  for (size_t I = 0; I < Tl.numTracks(); ++I)
+    if (Tl.trackAt(I).pid() != 0)
+      Pids.insert(static_cast<pid_t>(Tl.trackAt(I).pid()));
+  return Pids;
+}
+
+// A worker holds stdio and its own socket, nothing else. Were host B's
+// workers to hold copies of host A's socket ends, A's workers would never
+// read end of file at A's retirement, and A would wait out its grace
+// window and SIGKILL them.
+TEST(Pool, HostsInOneProcessRetireIndependently) {
+  sweep::ResilientOptions Base =
+      baseOptions(corpus::hostBody(racyBody), 8).Base;
+  auto MakeHost = [&Base] {
+    sweep::PoolHostOptions HO;
+    HO.Workers = 2;
+    HO.Resolve = [Base](const uint8_t *, size_t,
+                        sweep::ResilientOptions &Out) {
+      Out = Base;
+      return true;
+    };
+    return std::make_unique<sweep::PoolHost>(std::move(HO));
+  };
+  std::unique_ptr<sweep::PoolHost> A = MakeHost(), B = MakeHost();
+  sweep::PoolRunRequest Job;
+  ASSERT_FALSE(A->run(Job).Stats.ForkFree);
+  obs::Timeline TlB(/*Enabled=*/true);
+  Job.Timeline = &TlB;
+  ASSERT_FALSE(B->run(Job).Stats.ForkFree); // A's workers are still alive
+  std::set<pid_t> BPids = workerPids(TlB);
+  ASSERT_FALSE(BPids.empty());
+  for (pid_t Pid : BPids) {
+    std::set<int> Fds = openFds(Pid);
+    ASSERT_FALSE(Fds.empty());
+    EXPECT_TRUE(Fds.count(3)) << "worker " << Pid << " lost its socket";
+    EXPECT_LE(*Fds.rbegin(), 3) << "worker " << Pid << " holds fd "
+                                << *Fds.rbegin();
+  }
+
+  auto Start = std::chrono::steady_clock::now();
+  A->shutdown();
+  auto Took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - Start);
+  EXPECT_LT(Took.count(), 1000)
+      << "A's workers did not exit on end of file: shutdown waited out "
+         "its 2 s grace window to SIGKILL them";
+  Job.Timeline = nullptr;
+  EXPECT_EQ(B->run(Job).Stats.WorkerSpawns, 0u)
+      << "A's retirement must leave B's workers alone";
+  B->shutdown();
 }
 
 // Containment at a fleet's lethal fault rates: with only process-lethal
@@ -767,15 +876,13 @@ TEST(Pool, LethalFaultRatesNeverLoseANonFaultedRecord) {
   }
 }
 
-TEST(Pool, CrashMidCommitSalvagesThroughATinyArena) {
-  // Tiny arenas + lethal faults: workers die while the parent holds
-  // partially-drained streams, so the commit-cursor salvage and the
-  // frame parser's partial-tail discard both fire for real. Still: the
-  // full record count, and bit-identity with the fork-free downgrade's
-  // quarantine decisions.
+TEST(Pool, CrashMidStreamSalvagesEveryRecord) {
+  // Lethal faults: workers die with records in their sockets and slots
+  // queued behind the victim, so the read-to-end-of-file salvage and the
+  // requeue both fire for real. Still: the full record count, and the
+  // fork-free downgrade's quarantine decisions.
   inject::FaultPlan Plan = lethalPlan();
   sweep::PoolOptions PO = lethalOptions(Plan);
-  PO.Host.ArenaBytes = 256;
   std::string Journal = tempPath("salvage.ckpt");
   std::remove(Journal.c_str());
   PO.Base.CheckpointPath = Journal;
@@ -786,7 +893,7 @@ TEST(Pool, CrashMidCommitSalvagesThroughATinyArena) {
   std::string Error;
   ASSERT_TRUE(sweep::loadCheckpoint(Journal, Load, Error)) << Error;
   EXPECT_EQ(Load.Records.size(), PO.Base.NumSeeds)
-      << "zero lost records through a 256-byte arena under crash load";
+      << "zero lost records under crash load";
   EXPECT_EQ(R.Res.Quarantined.size(), 4u);
   std::remove(Journal.c_str());
 }
@@ -1099,8 +1206,8 @@ TEST(Pool, InstrumentsExported) {
             R.Stats.Respawns);
   EXPECT_EQ(Reg.findCounter("grs_pool_poison_slots_total")->value(),
             R.Stats.PoisonSlots);
-  EXPECT_EQ(Reg.findCounter("grs_pool_arena_bytes_total")->value(),
-            R.Stats.ArenaBytesReceived);
+  EXPECT_EQ(Reg.findCounter("grs_pool_received_bytes_total")->value(),
+            R.Stats.BytesReceived);
   EXPECT_EQ(Reg.findCounter("grs_pool_backoff_waits_total")->value(),
             R.Stats.BackoffWaits);
   EXPECT_EQ(Reg.findGauge("grs_pool_fork_free")->value(), 0.0);

@@ -424,6 +424,11 @@ TEST(SweepService, HttpLifecycleLandsOnLibraryIdenticalResult) {
   for (char C : Lines)
     Count += C == '\n';
   EXPECT_EQ(Count, 2u);
+  // A cursor past 2^64 saturates instead of wrapping round to index 1.
+  Resp = httpReq(S.port(), "GET",
+                 "/jobs/job-000001/progress?from=18446744073709551617");
+  EXPECT_NE(Resp.find("X-Next-Index: 40"), std::string::npos) << Resp;
+  EXPECT_EQ(httpBody(Resp), "");
 
   // The service's verdict is the library's verdict: same recipe through
   // sweep::resilient directly must aggregate identically.
@@ -589,8 +594,6 @@ TEST(SweepService, DeadlinedJobStartsNoThread) {
 // the status counted, and the next job re-forks and lands on the
 // in-process result.
 TEST(SweepService, PoolDeadlineCancelsAndTheNextJobRuns) {
-  if (!sweep::pooledAvailable())
-    GTEST_SKIP() << "no fork on this platform";
   std::string Next = patternSpec(24, "pool");
   std::string RefDir = tempDir("pool-deadline-ref");
   seedJob(RefDir, Next);
@@ -855,8 +858,6 @@ TEST(SweepService, RefusesToResumeAJournalWrittenByADifferentSpec) {
 }
 
 TEST(SweepService, PoolForksAmortizeAcrossJobs) {
-  if (!sweep::pooledAvailable())
-    GTEST_SKIP() << "no fork on this platform";
   std::string Dir = tempDir("amortize");
   ServiceOptions O;
   O.StateDir = Dir;
@@ -907,9 +908,6 @@ namespace {
 } // namespace
 
 TEST(KillBattery, SigkillAtRandomPointsThenRestartIsBitIdentical) {
-  if (!sweep::pooledAvailable())
-    GTEST_SKIP() << "no fork on this platform";
-
   // The job: a grs body with real per-slot cost (about 2 ms) on the REAL
   // pool, so SIGKILL lands between worker commits, mid-journal-append.
   std::string Spec = slowGrsSpec(96, 2000, "", "pool");
