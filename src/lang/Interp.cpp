@@ -103,7 +103,7 @@ Value boolValue(bool B) {
 /// through one goroutine's closure is the same detector address another
 /// goroutine reads — by-reference capture, Observation 3.
 struct Cell {
-  std::string Name;
+  race::StrId Name = race::NoName; ///< Interned once, at declaration.
   race::Addr A = 0;
   Value V;
 };
@@ -247,9 +247,9 @@ private:
   void declare(const std::shared_ptr<Env> &E, const std::string &Name,
                Value V) {
     auto C = std::make_shared<Cell>();
-    C->Name = Name;
+    C->Name = RT->intern(Name);
     C->A = RT->allocAddr();
-    RT->write(C->A, Name);
+    RT->write(C->A, C->Name);
     C->V = std::move(V);
     for (auto &[N, Slot] : E->Vars)
       if (N == Name) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
+#include <unordered_map>
 
 using namespace grs::race;
 
@@ -26,27 +28,54 @@ struct Detector::ThreadState {
 struct Detector::ShadowCell {
   // FastTrack happens-before state.
   Epoch WriteEpoch;
-  CallChain WriteChain;
-  bool ReadShared = false;
   Epoch ReadEpoch;
+  bool ReadShared = false;
+
+  // Report throttling (the name lives in the cell's ShadowSlot).
+  bool ReportedHb = false;
+  bool ReportedLs = false;
+
+  // Eraser lock-set state.
+  EraserState State = EraserState::Virgin;
+  bool HaveLastAccess = false;
+  Tid Owner = InvalidTid;
+  LockSetId Candidate = LockSetRegistry::EmptyId;
+  AccessSnapshot LastAccess;
+
+  CallChain WriteChain;
   CallChain ReadChain;
   VectorClock ReadVC;
   std::unordered_map<Tid, CallChain> SharedChains;
 
-  // Eraser lock-set state.
-  EraserState State = EraserState::Virgin;
-  Tid Owner = InvalidTid;
-  LockSetId Candidate = LockSetRegistry::EmptyId;
-  AccessSnapshot LastAccess;
-  bool HaveLastAccess = false;
+  /// The address this cell shadows while it is live.
+  Addr A = 0;
+  /// This cell's position in CellOrder.
+  uint32_t OrderAt = 0;
 
-  // Report throttling and labelling.
-  bool ReportedHb = false;
-  bool ReportedLs = false;
-  std::string Name;
+  /// Back to the default state for the free list. Sizes drop to zero but
+  /// capacity stays, so the next address that takes this cell copies its
+  /// chains without allocating.
+  void reset() {
+    WriteEpoch = ReadEpoch = BottomEpoch;
+    ReadShared = ReportedHb = ReportedLs = HaveLastAccess = false;
+    State = EraserState::Virgin;
+    Owner = InvalidTid;
+    Candidate = LockSetRegistry::EmptyId;
+    LastAccess.Kind = AccessKind::Read;
+    LastAccess.Goroutine = 0;
+    LastAccess.Time = 0;
+    LastAccess.Chain.clear();
+    WriteChain.clear();
+    ReadChain.clear();
+    ReadVC.clear();
+    SharedChains.clear();
+  }
 };
 
-Detector::Detector(DetectorOptions Opts) : Opts(Opts) {}
+Detector::Detector(DetectorOptions Opts) : Opts(Opts) {
+  // Cells moves its elements when it grows; it must not copy them.
+  static_assert(std::is_nothrow_move_constructible_v<ShadowCell>);
+}
 
 Detector::~Detector() = default;
 
@@ -60,31 +89,129 @@ const Detector::ThreadState &Detector::thread(Tid T) const {
   return Threads[T];
 }
 
-Detector::ShadowCell &Detector::shadowCell(Addr A) {
-  auto [It, Inserted] = Shadow.try_emplace(A);
-  if (Inserted) {
-    Stats.ShadowCells = Shadow.size();
-    // Rebuild from the compact residue if this address was retired by
-    // the GC: the ReportOnce flags, representation flag, and variable
-    // name are exactly the state a never-collected cell would still
-    // carry that a future access could observe.
-    if (!Retired.empty()) {
-      auto R = Retired.find(A);
-      if (R != Retired.end()) {
-        It->second.ReadShared = R->second.ReadShared;
-        It->second.ReportedHb = R->second.ReportedHb;
-        It->second.ReportedLs = R->second.ReportedLs;
-        It->second.Name = Interner.text(R->second.NameId);
-        Retired.erase(R);
+//===----------------------------------------------------------------------===//
+// The shadow table
+//===----------------------------------------------------------------------===//
+
+size_t Detector::slotHome(Addr A) const {
+  // Fibonacci hashing: the top bits of A times 2^64/phi. Consecutive
+  // virtual addresses (what rt hands out) land evenly spread.
+  return static_cast<size_t>((A * 0x9e3779b97f4a7c15ULL) >> SlotShift);
+}
+
+Detector::ShadowSlot &Detector::shadowSlot(Addr A, StrId Name) {
+  size_t Mask = Slots.size() - 1;
+  size_t I = 0;
+  if (!Slots.empty()) {
+    for (I = slotHome(A);; I = (I + 1) & Mask) {
+      ShadowSlot &Slot = Slots[I];
+      if (Slot.State == SlotState::Empty)
+        break;
+      if (Slot.A != A)
+        continue;
+      if (Slot.Name == NoName)
+        Slot.Name = Name;
+      if (Slot.State == SlotState::Retired) {
+        // Rebuild from the residue the GC left in place: the ReportOnce
+        // flags, representation flag, and (in the slot) variable name are
+        // exactly the state a never-collected cell would still carry that
+        // a future access could observe.
+        Slot.Cell = takeCell(Slot.Cell);
+        Slot.State = SlotState::Live;
+        ShadowCell &Cell = Cells[Slot.Cell];
+        Cell.A = A;
+        Cell.ReadShared = Slot.ReadShared;
+        Cell.ReportedHb = Slot.ReportedHb;
+        Cell.ReportedLs = Slot.ReportedLs;
       }
+      return Slot;
     }
   }
-  return It->second;
+  // Grow at 3/4 load, so a probe always ends at an empty slot.
+  if ((UsedSlots + 1) * 4 > Slots.size() * 3) {
+    growSlots();
+    Mask = Slots.size() - 1;
+    for (I = slotHome(A); Slots[I].State != SlotState::Empty;
+         I = (I + 1) & Mask)
+      ;
+  }
+  ++UsedSlots;
+  ShadowSlot &Slot = Slots[I];
+  Slot = ShadowSlot{A, takeCell(NoCell), Name, SlotState::Live};
+  Cells[Slot.Cell].A = A;
+  return Slot;
+}
+
+size_t Detector::findSlot(Addr A) const {
+  if (Slots.empty())
+    return SIZE_MAX;
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = slotHome(A); Slots[I].State != SlotState::Empty;
+       I = (I + 1) & Mask)
+    if (Slots[I].A == A)
+      return I;
+  return SIZE_MAX;
+}
+
+void Detector::growSlots() {
+  std::vector<ShadowSlot> Old(Slots.empty() ? 32 : Slots.size() * 2);
+  Old.swap(Slots);
+  SlotShift = 64 - static_cast<unsigned>(__builtin_ctzll(Slots.size()));
+  size_t Mask = Slots.size() - 1;
+  for (const ShadowSlot &Slot : Old) {
+    if (Slot.State == SlotState::Empty)
+      continue;
+    size_t I = slotHome(Slot.A);
+    while (Slots[I].State != SlotState::Empty)
+      I = (I + 1) & Mask;
+    Slots[I] = Slot;
+  }
+}
+
+void Detector::eraseSlot(size_t Hole) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole when the hole lies on their path from home, so no tombstone is
+  // needed and every probe still ends at the first empty slot.
+  size_t Mask = Slots.size() - 1;
+  for (size_t J = (Hole + 1) & Mask; Slots[J].State != SlotState::Empty;
+       J = (J + 1) & Mask) {
+    if (((J - slotHome(Slots[J].A)) & Mask) >= ((J - Hole) & Mask)) {
+      Slots[Hole] = Slots[J];
+      Hole = J;
+    }
+  }
+  Slots[Hole] = ShadowSlot();
+  --UsedSlots;
+}
+
+void Detector::swapOrder(uint32_t P, uint32_t Q) {
+  std::swap(CellOrder[P], CellOrder[Q]);
+  Cells[CellOrder[P]].OrderAt = P;
+  Cells[CellOrder[Q]].OrderAt = Q;
+}
+
+uint32_t Detector::takeCell(uint32_t Hint) {
+  if (LiveCells == Cells.size()) {
+    CellOrder.push_back(static_cast<uint32_t>(Cells.size()));
+    Cells.emplace_back();
+    Cells.back().OrderAt = LiveCells;
+  } else if (Hint != NoCell && Cells[Hint].OrderAt > LiveCells) {
+    swapOrder(Cells[Hint].OrderAt, LiveCells);
+  }
+  // Without a free hint this is the cell released last.
+  uint32_t Index = CellOrder[LiveCells++];
+  Stats.ShadowCells = LiveCells;
+  return Index;
+}
+
+void Detector::releaseCell(uint32_t Index) {
+  Cells[Index].reset();
+  swapOrder(Cells[Index].OrderAt, --LiveCells);
 }
 
 ShadowFootprint Detector::footprint() const {
   ShadowFootprint F;
-  F.ShadowCells = Shadow.size();
+  F.ShadowCells = LiveCells;
   // Trimmed goroutines hold no clock or chain, so walking the live and
   // finished-untrimmed lists covers every nonzero contribution without
   // touching each ThreadState ever created (notePeaks() calls this
@@ -99,8 +226,8 @@ ShadowFootprint Detector::footprint() const {
   }
   for (const VectorClock &VC : SyncClocks)
     F.VcWords += VC.size();
-  for (const auto &[A, Cell] : Shadow) {
-    (void)A;
+  for (uint32_t P = 0; P < LiveCells; ++P) {
+    const ShadowCell &Cell = Cells[CellOrder[P]];
     F.VcWords += Cell.ReadVC.size();
     F.ChainBytes +=
         (Cell.WriteChain.size() + Cell.ReadChain.size()) * sizeof(Frame);
@@ -109,7 +236,7 @@ ShadowFootprint Detector::footprint() const {
       F.ChainBytes += Chain.size() * sizeof(Frame);
     }
   }
-  F.RetiredCells = Retired.size();
+  F.RetiredCells = UsedSlots - F.ShadowCells;
   // Lazy max-merge: a scrape between collections may observe a live
   // footprint above the last pre-GC sample.
   PeakCells = std::max(PeakCells, F.ShadowCells);
@@ -393,14 +520,30 @@ const CallChain &Detector::currentChain(Tid T) const {
 // Reporting helpers
 //===----------------------------------------------------------------------===//
 
-AccessSnapshot Detector::snapshotCurrent(Tid T, AccessKind Kind) const {
-  AccessSnapshot Snapshot;
+void Detector::snapshotInto(AccessSnapshot &Snapshot, Tid T,
+                            AccessKind Kind) const {
   Snapshot.Kind = Kind;
   Snapshot.Goroutine = T;
   Snapshot.Time = thread(T).C.get(T);
   if (Opts.KeepChains)
     Snapshot.Chain = thread(T).Chain;
+  else
+    Snapshot.Chain.clear();
+}
+
+AccessSnapshot Detector::snapshotCurrent(Tid T, AccessKind Kind) const {
+  AccessSnapshot Snapshot;
+  snapshotInto(Snapshot, T, Kind);
   return Snapshot;
+}
+
+RaceReport Detector::newReport(Addr A, StrId Name,
+                               RaceEvidence Evidence) const {
+  RaceReport Report;
+  Report.Address = A;
+  Report.VariableName = Interner.text(Name);
+  Report.Evidence = Evidence;
+  return Report;
 }
 
 void Detector::emitReport(RaceReport Report, ShadowCell &Cell) {
@@ -431,7 +574,7 @@ void Detector::emitReport(RaceReport Report, ShadowCell &Cell) {
 // FastTrack happens-before checks
 //===----------------------------------------------------------------------===//
 
-bool Detector::checkHbRead(Tid T, Addr A, ShadowCell &Cell) {
+bool Detector::checkHbRead(Tid T, Addr A, StrId Name, ShadowCell &Cell) {
   ThreadState &TS = thread(T);
   Clock Now = TS.C.get(T);
 
@@ -453,10 +596,7 @@ bool Detector::checkHbRead(Tid T, Addr A, ShadowCell &Cell) {
 
   bool Raced = false;
   if (Cell.WriteEpoch.valid() && !TS.C.covers(Cell.WriteEpoch)) {
-    RaceReport Report;
-    Report.Address = A;
-    Report.VariableName = Cell.Name;
-    Report.Evidence = RaceEvidence::HappensBefore;
+    RaceReport Report = newReport(A, Name, RaceEvidence::HappensBefore);
     Report.Previous = {AccessKind::Write, Cell.WriteEpoch.Id,
                        Cell.WriteEpoch.Time, Cell.WriteChain};
     Report.Current = snapshotCurrent(T, AccessKind::Read);
@@ -490,7 +630,7 @@ bool Detector::checkHbRead(Tid T, Addr A, ShadowCell &Cell) {
   return Raced;
 }
 
-bool Detector::checkHbWrite(Tid T, Addr A, ShadowCell &Cell) {
+bool Detector::checkHbWrite(Tid T, Addr A, StrId Name, ShadowCell &Cell) {
   ThreadState &TS = thread(T);
   Clock Now = TS.C.get(T);
 
@@ -502,10 +642,7 @@ bool Detector::checkHbWrite(Tid T, Addr A, ShadowCell &Cell) {
 
   bool Raced = false;
   if (Cell.WriteEpoch.valid() && !TS.C.covers(Cell.WriteEpoch)) {
-    RaceReport Report;
-    Report.Address = A;
-    Report.VariableName = Cell.Name;
-    Report.Evidence = RaceEvidence::HappensBefore;
+    RaceReport Report = newReport(A, Name, RaceEvidence::HappensBefore);
     Report.Previous = {AccessKind::Write, Cell.WriteEpoch.Id,
                        Cell.WriteEpoch.Time, Cell.WriteChain};
     Report.Current = snapshotCurrent(T, AccessKind::Write);
@@ -516,10 +653,7 @@ bool Detector::checkHbWrite(Tid T, Addr A, ShadowCell &Cell) {
   if (Cell.ReadShared) {
     Tid Offender = TS.C.firstUncovered(Cell.ReadVC);
     if (Offender != InvalidTid) {
-      RaceReport Report;
-      Report.Address = A;
-      Report.VariableName = Cell.Name;
-      Report.Evidence = RaceEvidence::HappensBefore;
+      RaceReport Report = newReport(A, Name, RaceEvidence::HappensBefore);
       CallChain OffenderChain;
       auto ChainIt = Cell.SharedChains.find(Offender);
       if (ChainIt != Cell.SharedChains.end())
@@ -531,10 +665,7 @@ bool Detector::checkHbWrite(Tid T, Addr A, ShadowCell &Cell) {
       Raced = true;
     }
   } else if (Cell.ReadEpoch.valid() && !TS.C.covers(Cell.ReadEpoch)) {
-    RaceReport Report;
-    Report.Address = A;
-    Report.VariableName = Cell.Name;
-    Report.Evidence = RaceEvidence::HappensBefore;
+    RaceReport Report = newReport(A, Name, RaceEvidence::HappensBefore);
     Report.Previous = {AccessKind::Read, Cell.ReadEpoch.Id,
                        Cell.ReadEpoch.Time, Cell.ReadChain};
     Report.Current = snapshotCurrent(T, AccessKind::Write);
@@ -560,7 +691,8 @@ bool Detector::checkHbWrite(Tid T, Addr A, ShadowCell &Cell) {
 // Eraser lock-set checks
 //===----------------------------------------------------------------------===//
 
-bool Detector::applyEraser(Tid T, Addr A, AccessKind Kind, ShadowCell &Cell) {
+bool Detector::applyEraser(Tid T, Addr A, StrId Name, AccessKind Kind,
+                           ShadowCell &Cell) {
   ThreadState &TS = thread(T);
   // A read is protected by any lock held (read or write mode); a write
   // needs a write-mode lock (RLock does not protect writes, Listing 11).
@@ -607,10 +739,7 @@ bool Detector::applyEraser(Tid T, Addr A, AccessKind Kind, ShadowCell &Cell) {
     // lock-set finding for the same address.
     bool Suppress = Opts.Mode == DetectMode::Hybrid && Cell.ReportedHb;
     if (!Suppress && Cell.HaveLastAccess) {
-      RaceReport Report;
-      Report.Address = A;
-      Report.VariableName = Cell.Name;
-      Report.Evidence = RaceEvidence::LockSetEmpty;
+      RaceReport Report = newReport(A, Name, RaceEvidence::LockSetEmpty);
       Report.Previous = Cell.LastAccess;
       Report.Current = snapshotCurrent(T, Kind);
       emitReport(std::move(Report), Cell);
@@ -618,7 +747,7 @@ bool Detector::applyEraser(Tid T, Addr A, AccessKind Kind, ShadowCell &Cell) {
     }
   }
 
-  Cell.LastAccess = snapshotCurrent(T, Kind);
+  snapshotInto(Cell.LastAccess, T, Kind);
   Cell.HaveLastAccess = true;
   return Raced;
 }
@@ -627,39 +756,42 @@ bool Detector::applyEraser(Tid T, Addr A, AccessKind Kind, ShadowCell &Cell) {
 // Memory accesses
 //===----------------------------------------------------------------------===//
 
-bool Detector::onRead(Tid T, Addr A, const std::string &Name) {
+bool Detector::onRead(Tid T, Addr A, StrId Name) {
   countEvent();
-  observe(EventKind::Read, T, A, 0, false, &Name);
+  if (Observer_)
+    observe(EventKind::Read, T, A, 0, false, &Interner.text(Name));
   ++Stats.Reads;
-  ShadowCell &Cell = shadowCell(A);
-  if (Cell.Name.empty() && !Name.empty())
-    Cell.Name = Name;
+  const ShadowSlot &Slot = shadowSlot(A, Name);
+  ShadowCell &Cell = Cells[Slot.Cell];
   bool Raced = false;
   if (Opts.Mode != DetectMode::LockSetOnly)
-    Raced |= checkHbRead(T, A, Cell);
+    Raced |= checkHbRead(T, A, Slot.Name, Cell);
   if (Opts.Mode != DetectMode::HappensBefore)
-    Raced |= applyEraser(T, A, AccessKind::Read, Cell);
+    Raced |= applyEraser(T, A, Slot.Name, AccessKind::Read, Cell);
   return Raced;
 }
 
-bool Detector::onWrite(Tid T, Addr A, const std::string &Name) {
+bool Detector::onWrite(Tid T, Addr A, StrId Name) {
   countEvent();
-  observe(EventKind::Write, T, A, 0, false, &Name);
+  if (Observer_)
+    observe(EventKind::Write, T, A, 0, false, &Interner.text(Name));
   ++Stats.Writes;
-  ShadowCell &Cell = shadowCell(A);
-  if (Cell.Name.empty() && !Name.empty())
-    Cell.Name = Name;
+  const ShadowSlot &Slot = shadowSlot(A, Name);
+  ShadowCell &Cell = Cells[Slot.Cell];
   bool Raced = false;
   if (Opts.Mode != DetectMode::LockSetOnly)
-    Raced |= checkHbWrite(T, A, Cell);
+    Raced |= checkHbWrite(T, A, Slot.Name, Cell);
   if (Opts.Mode != DetectMode::HappensBefore)
-    Raced |= applyEraser(T, A, AccessKind::Write, Cell);
+    Raced |= applyEraser(T, A, Slot.Name, AccessKind::Write, Cell);
   return Raced;
 }
 
 const VectorClock &Detector::clockOf(Tid T) const { return thread(T).C; }
 
-bool Detector::hasShadow(Addr A) const { return Shadow.count(A) != 0; }
+bool Detector::hasShadow(Addr A) const {
+  size_t I = findSlot(A);
+  return I != SIZE_MAX && Slots[I].State == SlotState::Live;
+}
 
 //===----------------------------------------------------------------------===//
 // Min-clock shadow-state garbage collection
@@ -722,21 +854,19 @@ void Detector::refreshMinClock() {
   if (Opts.Gc != GcMode::MinClock)
     return;
   EventsSinceRefresh = 0;
-  VectorClock NewMin;
+  // Computed in place, reusing MinClock's storage. With no live goroutine
+  // left the previous bound stays valid: only a later root could act, and
+  // newRootGoroutine() clears MinClock.
   bool Any = false;
   for (Tid T : LiveThreads) {
     const ThreadState &TS = Threads[T];
     if (!Any) {
-      NewMin = TS.C;
+      MinClock = TS.C;
       Any = true;
     } else {
-      NewMin.minWith(TS.C);
+      MinClock.minWith(TS.C);
     }
   }
-  // With no live goroutine left the previous bound stays valid: only a
-  // later root could act, and newRootGoroutine() clears MinClock.
-  if (Any)
-    MinClock = std::move(NewMin);
   trimDominatedThreads();
 }
 
@@ -778,8 +908,11 @@ void Detector::sweepSyncClocks() {
 
 void Detector::sweepShadow() {
   bool CanRetire = Opts.Mode == DetectMode::HappensBefore;
-  for (auto It = Shadow.begin(); It != Shadow.end();) {
-    ShadowCell &Cell = It->second;
+  // Walk the live cells, not the table: residue slots pile up with every
+  // address ever retired.
+  for (uint32_t P = 0; P < LiveCells;) {
+    uint32_t Index = CellOrder[P];
+    ShadowCell &Cell = Cells[Index];
     // "Dominated" on a side means: absent, or covered by MinClock (and
     // hence by every future accessor's clock, forever).
     bool WDom = !Cell.WriteEpoch.valid() || epochDominated(Cell.WriteEpoch);
@@ -813,14 +946,20 @@ void Detector::sweepShadow() {
       }
       Stats.GcChainBytesReclaimed += Chains * sizeof(Frame);
       ++Stats.GcCellsRetired;
+      size_t I = findSlot(Cell.A);
+      ShadowSlot &Slot = Slots[I];
       bool NeedResidue = Cell.ReportedHb || Cell.ReportedLs ||
-                         !Cell.Name.empty() ||
+                         Slot.Name != NoName ||
                          (Cell.ReadShared && Opts.EpochOptimization);
+      Slot.ReadShared = Cell.ReadShared;
+      Slot.ReportedHb = Cell.ReportedHb;
+      Slot.ReportedLs = Cell.ReportedLs;
       if (NeedResidue)
-        Retired[It->first] = RetiredCell{Interner.intern(Cell.Name),
-                                         Cell.ReadShared, Cell.ReportedHb,
-                                         Cell.ReportedLs};
-      It = Shadow.erase(It);
+        Slot.State = SlotState::Retired;
+      else
+        eraseSlot(I); // An all-default residue leaves the table.
+      // The last live cell moves to position P: visit it next.
+      releaseCell(Index);
       continue;
     }
 
@@ -866,7 +1005,7 @@ void Detector::sweepShadow() {
         }
       }
     }
-    ++It;
+    ++P;
   }
-  Stats.ShadowCells = Shadow.size();
+  Stats.ShadowCells = LiveCells;
 }

@@ -37,7 +37,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace grs {
@@ -154,9 +153,9 @@ struct ShadowFootprint {
   /// chains plus the live per-goroutine stacks. 0 when KeepChains=false.
   uint64_t ChainBytes = 0;
 
-  /// Compact records of retired (fully dominated) cells — a few bytes
-  /// each, kept so re-access rebuilds deterministically with the original
-  /// ReportOnce flags and variable name.
+  /// Shadow-table slots of retired (fully dominated) cells that hold no
+  /// live cell, only a residue: the ReportOnce flags, ReadShared and the
+  /// variable name, so a re-access rebuilds the cell deterministically.
   uint64_t RetiredCells = 0;
   /// Monotone high-water marks of the live numbers above. The detector
   /// samples live state into these before every collection, so a gauge
@@ -285,11 +284,13 @@ public:
   //===------------------------------------------------------------------===//
 
   /// Instrumented read of \p A by \p T. \p Name optionally labels the
-  /// object for reports. \returns true if a race was reported.
-  bool onRead(Tid T, Addr A, const std::string &Name = std::string());
+  /// object for reports: an id from interner(), interned once by the
+  /// caller (rt objects do it when they are constructed), so an access
+  /// builds no string. \returns true if a race was reported.
+  bool onRead(Tid T, Addr A, StrId Name = NoName);
 
   /// Instrumented write; see onRead().
-  bool onWrite(Tid T, Addr A, const std::string &Name = std::string());
+  bool onWrite(Tid T, Addr A, StrId Name = NoName);
 
   //===------------------------------------------------------------------===//
   // Results
@@ -355,9 +356,41 @@ private:
   struct ThreadState;
   struct ShadowCell;
 
+  enum class SlotState : uint8_t { Empty, Live, Retired };
+
+  /// One entry of the open-addressed shadow table: an address with a live
+  /// cell, or a retired address whose residue a rebuild restores. A live
+  /// cell keeps its flags itself; the slot holds them while it is retired.
+  struct ShadowSlot {
+    Addr A = 0;
+    /// The live cell's index in Cells. While retired, the index the cell
+    /// had: a rebuild takes that cell back if it is still free.
+    uint32_t Cell = NoCell;
+    /// The variable name: the first non-empty name an access passed.
+    StrId Name = NoName;
+    SlotState State = SlotState::Empty;
+    bool ReadShared = false;
+    bool ReportedHb = false;
+    bool ReportedLs = false;
+  };
+  static constexpr uint32_t NoCell = ~static_cast<uint32_t>(0);
+
   ThreadState &thread(Tid T);
   const ThreadState &thread(Tid T) const;
-  ShadowCell &shadowCell(Addr A);
+
+  /// The slot of \p A with a live cell, inserting or rebuilding it. The
+  /// slot keeps the first non-empty \p Name any access passed.
+  ShadowSlot &shadowSlot(Addr A, StrId Name);
+  /// The index of \p A's slot, live or retired, or SIZE_MAX.
+  size_t findSlot(Addr A) const;
+  size_t slotHome(Addr A) const;
+  void growSlots();
+  void eraseSlot(size_t Hole);
+  /// A free cell for an address, preferring \p Hint, the cell the address
+  /// had before it retired: its chains already have the capacity it needs.
+  uint32_t takeCell(uint32_t Hint);
+  void releaseCell(uint32_t Index);
+  void swapOrder(uint32_t P, uint32_t Q);
 
   /// Allocates the thread-state slot shared by newRootGoroutine() and
   /// fork() (so each emits exactly one event for the allocation).
@@ -367,9 +400,12 @@ private:
                const std::string *Str2 = nullptr);
 
   void emitReport(RaceReport Report, ShadowCell &Cell);
-  bool checkHbRead(Tid T, Addr A, ShadowCell &Cell);
-  bool checkHbWrite(Tid T, Addr A, ShadowCell &Cell);
-  bool applyEraser(Tid T, Addr A, AccessKind Kind, ShadowCell &Cell);
+  RaceReport newReport(Addr A, StrId Name, RaceEvidence Evidence) const;
+  bool checkHbRead(Tid T, Addr A, StrId Name, ShadowCell &Cell);
+  bool checkHbWrite(Tid T, Addr A, StrId Name, ShadowCell &Cell);
+  bool applyEraser(Tid T, Addr A, StrId Name, AccessKind Kind,
+                   ShadowCell &Cell);
+  void snapshotInto(AccessSnapshot &Snapshot, Tid T, AccessKind Kind) const;
   AccessSnapshot snapshotCurrent(Tid T, AccessKind Kind) const;
 
   // Min-clock GC internals (Detector.cpp has the per-step safety
@@ -385,21 +421,25 @@ private:
     return E.valid() && MinClock.covers(E);
   }
 
-  /// Compact residue of a retired shadow cell: everything a rebuilt cell
-  /// needs to behave identically to the never-collected one. Cells whose
-  /// residue would be all-default are not recorded at all.
-  struct RetiredCell {
-    uint32_t NameId = 0; ///< Interned variable name ("" when unnamed).
-    bool ReadShared = false;
-    bool ReportedHb = false;
-    bool ReportedLs = false;
-  };
-
   DetectorOptions Opts;
   std::vector<ThreadState> Threads;
   std::vector<VectorClock> SyncClocks;
   std::vector<std::string> SyncNames;
-  std::unordered_map<Addr, ShadowCell> Shadow;
+  /// The shadow table: a power-of-two array probed linearly from a
+  /// multiplicative hash of the address, empty until the first access.
+  std::vector<ShadowSlot> Slots;
+  /// 64 - log2(Slots.size()): slotHome() keeps the hash's top bits.
+  unsigned SlotShift = 0;
+  /// Slots in use: live cells plus retired residues.
+  size_t UsedSlots = 0;
+  /// Cell storage, dense. A retired cell is reset and kept for reuse, so
+  /// the cells never outnumber the peak live count.
+  std::vector<ShadowCell> Cells;
+  /// Every index into Cells, the live ones first: CellOrder[0, LiveCells)
+  /// are live and the rest free, so sweeps and footprint() walk only the
+  /// live cells.
+  std::vector<uint32_t> CellOrder;
+  uint32_t LiveCells = 0;
   LockSetRegistry LockSets;
   StringInterner Interner;
   std::vector<RaceReport> Reports;
@@ -425,7 +465,6 @@ private:
   /// Counted events since the last min-clock refresh; gates the eager
   /// finish/join refresh so fork/join loops stay linear.
   uint64_t EventsSinceRefresh = 0;
-  std::unordered_map<Addr, RetiredCell> Retired;
   /// High-water marks of the live footprint, sampled before each
   /// collection and lazily max-merged in footprint().
   mutable uint64_t PeakCells = 0, PeakVcWords = 0, PeakChainBytes = 0;

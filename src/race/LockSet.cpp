@@ -29,21 +29,30 @@ LockSetId LockSetRegistry::intern(std::vector<SyncId> Locks) {
   return Id;
 }
 
-LockSetId LockSetRegistry::withLock(LockSetId A, SyncId Lock) {
+LockSetId LockSetRegistry::transition(LockSetId A, SyncId Lock, bool Add) {
+  Transitions &Memo =
+      TransitionMemo[static_cast<uint64_t>(A) << 32 | Lock];
+  LockSetId &Result = Add ? Memo.With : Memo.Without;
+  if (Result != NotMemoized) {
+    // A changed set came from intern() the first time, so the stats count
+    // the hit that repeating it would find.
+    if (Result != A)
+      ++Stats.InternHits;
+    return Result;
+  }
   std::vector<SyncId> Locks = locks(A);
-  if (std::binary_search(Locks.begin(), Locks.end(), Lock))
+  auto Found = std::lower_bound(Locks.begin(), Locks.end(), Lock);
+  bool Present = Found != Locks.end() && *Found == Lock;
+  if (Add == Present) {
+    Result = A;
     return A;
-  Locks.push_back(Lock);
-  return intern(std::move(Locks));
-}
-
-LockSetId LockSetRegistry::withoutLock(LockSetId A, SyncId Lock) {
-  std::vector<SyncId> Locks = locks(A);
-  auto Found = std::find(Locks.begin(), Locks.end(), Lock);
-  if (Found == Locks.end())
-    return A;
-  Locks.erase(Found);
-  return intern(std::move(Locks));
+  }
+  if (Add)
+    Locks.insert(Found, Lock);
+  else
+    Locks.erase(Found);
+  Result = intern(std::move(Locks));
+  return Result;
 }
 
 LockSetId LockSetRegistry::intersect(LockSetId A, LockSetId B) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace grs {
@@ -52,11 +53,15 @@ public:
   /// \returns the id of \p Set (sorted, deduplicated internally).
   LockSetId intern(std::vector<SyncId> Locks);
 
-  /// \returns the id of Set(A) with \p Lock added.
-  LockSetId withLock(LockSetId A, SyncId Lock);
+  /// \returns the id of Set(A) with \p Lock added (memoized).
+  LockSetId withLock(LockSetId A, SyncId Lock) {
+    return transition(A, Lock, /*Add=*/true);
+  }
 
-  /// \returns the id of Set(A) with \p Lock removed.
-  LockSetId withoutLock(LockSetId A, SyncId Lock);
+  /// \returns the id of Set(A) with \p Lock removed (memoized).
+  LockSetId withoutLock(LockSetId A, SyncId Lock) {
+    return transition(A, Lock, /*Add=*/false);
+  }
 
   /// \returns the id of Set(A) intersected with Set(B) (memoized).
   LockSetId intersect(LockSetId A, LockSetId B);
@@ -76,9 +81,23 @@ public:
   std::string str(LockSetId Id) const;
 
 private:
+  LockSetId transition(LockSetId A, SyncId Lock, bool Add);
+
+  /// The two transitions of one (set, lock) pair; NotMemoized until the
+  /// first call computes them.
+  static constexpr LockSetId NotMemoized = ~static_cast<LockSetId>(0);
+  struct Transitions {
+    LockSetId With = NotMemoized;
+    LockSetId Without = NotMemoized;
+  };
+
   std::vector<std::vector<SyncId>> Sets;
   std::map<std::vector<SyncId>, LockSetId> Index;
   std::map<std::pair<LockSetId, LockSetId>, LockSetId> IntersectMemo;
+  /// Keyed by (set << 32 | lock): a held-lock set changes at every lock
+  /// event, so a critical section costs two lookups, not two vector
+  /// copies, sorts and interns.
+  std::unordered_map<uint64_t, Transitions> TransitionMemo;
   LockSetStats Stats;
 };
 

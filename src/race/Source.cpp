@@ -8,18 +8,21 @@
 using namespace grs::race;
 
 StrId StringInterner::intern(const std::string &Text) {
-  auto Found = Index.find(Text);
-  if (Found != Index.end())
-    return Found->second;
-  StrId Id = static_cast<StrId>(Texts.size());
-  Texts.push_back(Text);
-  Index.emplace(Text, Id);
-  return Id;
+  if (Text.empty())
+    return NoName;
+  auto [It, Inserted] =
+      Index.try_emplace(Text, static_cast<StrId>(Texts.size() + 1));
+  if (Inserted)
+    Texts.push_back(&It->first);
+  return It->second;
 }
 
 const std::string &StringInterner::text(StrId Id) const {
-  assert(Id < Texts.size() && "unknown interned string id");
-  return Texts[Id];
+  static const std::string Empty;
+  if (Id == NoName)
+    return Empty;
+  assert(Id <= Texts.size() && "unknown interned string id");
+  return *Texts[Id - 1];
 }
 
 std::string grs::race::formatChain(const StringInterner &Interner,

@@ -28,21 +28,29 @@ namespace race {
 /// Interned string id. Ids are dense and stable for the interner lifetime.
 using StrId = uint32_t;
 
-/// Bidirectional string interner for function and file names.
+/// The id of the empty string in every interner: an access with no name.
+inline constexpr StrId NoName = 0;
+
+/// Bidirectional string interner for function, file and variable names.
+/// The empty string is NoName without being stored, so a fresh interner
+/// allocates nothing.
 class StringInterner {
 public:
-  /// Interns \p Text, returning its stable id.
+  /// Interns \p Text, returning its stable id (one hash lookup).
   StrId intern(const std::string &Text);
 
   /// \returns the text for \p Id; \p Id must have been produced by this
-  /// interner.
+  /// interner. The reference stays valid for the interner's lifetime.
   const std::string &text(StrId Id) const;
 
-  size_t size() const { return Texts.size(); }
+  /// Distinct strings interned, the empty string included.
+  size_t size() const { return Texts.size() + 1; }
 
 private:
+  /// Owns the text. Its nodes never move, so Texts can point at its keys.
   std::unordered_map<std::string, StrId> Index;
-  std::vector<std::string> Texts;
+  /// Texts[Id - 1] is the text of Id.
+  std::vector<const std::string *> Texts;
 };
 
 /// One stack frame: function, file, line. Function and file are interner

@@ -17,6 +17,7 @@
 /// write it. This is why Listing 6's writes to DISTINCT keys still
 /// write-write race. Lookup of a missing key returns the zero value
 /// without error — the §4.4 "error tolerance" that lulls developers.
+/// The structure and key names are interned once, at construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,8 +37,11 @@ namespace rt {
 /// reference/pointer, as Go programs share the header).
 template <typename K, typename V> class GoMap {
 public:
-  explicit GoMap(std::string Name = "map")
-      : Name(std::move(Name)), StructAddr(Runtime::current().allocAddr()) {}
+  explicit GoMap(const std::string &Name = "map")
+      : Name(Runtime::current().intern(Name)),
+        StructName(Runtime::current().intern(Name + ".structure")),
+        KeyName(Runtime::current().intern(Name + "[k]")),
+        StructAddr(Runtime::current().allocAddr()) {}
 
   GoMap(const GoMap &) = delete;
   GoMap &operator=(const GoMap &) = delete;
@@ -45,22 +49,22 @@ public:
   /// v := m[k] — missing keys yield the zero value, silently.
   V get(const K &Key) const {
     Runtime &RT = Runtime::current();
-    RT.read(StructAddr, Name + ".structure");
+    RT.read(StructAddr, StructName);
     auto Found = Table.find(Key);
     if (Found == Table.end())
       return V();
-    RT.read(slotAddr(Key), Name + "[k]");
+    RT.read(slotAddr(Key), KeyName);
     return Found->second;
   }
 
   /// v, ok := m[k].
   std::pair<V, bool> getOk(const K &Key) const {
     Runtime &RT = Runtime::current();
-    RT.read(StructAddr, Name + ".structure");
+    RT.read(StructAddr, StructName);
     auto Found = Table.find(Key);
     if (Found == Table.end())
       return {V(), false};
-    RT.read(slotAddr(Key), Name + "[k]");
+    RT.read(slotAddr(Key), KeyName);
     return {Found->second, true};
   }
 
@@ -68,35 +72,35 @@ public:
   /// the heart of the Listing 6 race.
   void set(const K &Key, V Value) {
     Runtime &RT = Runtime::current();
-    RT.write(StructAddr, Name + ".structure");
-    RT.write(slotAddr(Key), Name + "[k]");
+    RT.write(StructAddr, StructName);
+    RT.write(slotAddr(Key), KeyName);
     Table[Key] = std::move(Value);
   }
 
   /// delete(m, k).
   void erase(const K &Key) {
     Runtime &RT = Runtime::current();
-    RT.write(StructAddr, Name + ".structure");
+    RT.write(StructAddr, StructName);
     Table.erase(Key);
   }
 
   /// len(m).
   size_t len() const {
-    Runtime::current().read(StructAddr, Name + ".structure");
+    Runtime::current().read(StructAddr, StructName);
     return Table.size();
   }
 
   bool contains(const K &Key) const {
-    Runtime::current().read(StructAddr, Name + ".structure");
+    Runtime::current().read(StructAddr, StructName);
     return Table.count(Key) != 0;
   }
 
   /// range over the map (iteration reads the structure and each slot).
   template <typename Fn> void forEach(Fn Visit) const {
     Runtime &RT = Runtime::current();
-    RT.read(StructAddr, Name + ".structure");
+    RT.read(StructAddr, StructName);
     for (const auto &[Key, Value] : Table) {
-      RT.read(slotAddr(Key), Name + "[k]");
+      RT.read(slotAddr(Key), KeyName);
       Visit(Key, Value);
     }
   }
@@ -106,7 +110,9 @@ public:
   bool rawContains(const K &Key) const { return Table.count(Key) != 0; }
 
   race::Addr structAddr() const { return StructAddr; }
-  const std::string &name() const { return Name; }
+  const std::string &name() const {
+    return Runtime::current().nameText(Name);
+  }
 
 private:
   race::Addr slotAddr(const K &Key) const {
@@ -116,7 +122,8 @@ private:
     return It->second;
   }
 
-  std::string Name;
+  /// Interned ids of the map's name, its structure's and its slots'.
+  race::StrId Name, StructName, KeyName;
   race::Addr StructAddr;
   std::unordered_map<K, V> Table;
   /// Stable per-key shadow addresses (lazily allocated, never reused even

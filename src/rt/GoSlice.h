@@ -22,6 +22,10 @@
 /// (aliasing slices share elements but NOT the new length); beyond
 /// capacity it reallocates, after which aliases keep the old backing.
 ///
+/// A slice interns its meta and element names once, when it is created
+/// (copies share the ids), so an access builds no string. Out-of-range
+/// make() and s[lo:hi] panic as in Go, in every build type.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GRS_RT_GOSLICE_H
@@ -29,7 +33,6 @@
 
 #include "rt/Runtime.h"
 
-#include <cassert>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,29 +45,35 @@ namespace rt {
 template <typename T> class GoSlice {
 public:
   /// A nil slice (len 0, cap 0, no backing).
-  explicit GoSlice(std::string Name = "slice")
-      : Name(std::move(Name)), MetaAddr(Runtime::current().allocAddr()) {}
+  explicit GoSlice(const std::string &Name = "slice")
+      : Name(Runtime::current().intern(Name)),
+        MetaName(Runtime::current().intern(Name + ".meta")),
+        ElemName(Runtime::current().intern(Name + "[i]")),
+        MetaAddr(Runtime::current().allocAddr()) {}
 
   /// make([]T, Len, Cap).
-  static GoSlice make(std::string Name, size_t Len, size_t Cap) {
-    assert(Cap >= Len && "make([]T) with cap < len");
-    GoSlice S(std::move(Name));
+  static GoSlice make(const std::string &Name, size_t Len, size_t Cap) {
+    if (Len > Cap)
+      Runtime::current().panicNow(
+          "runtime error: makeslice: cap out of range in " + Name);
+    GoSlice S(Name);
     S.B = std::make_shared<Backing>(Cap == 0 ? 1 : Cap);
     S.Length = Len;
     return S;
   }
 
   /// make([]T, Len).
-  static GoSlice make(std::string Name, size_t Len) {
-    return make(std::move(Name), Len, Len);
+  static GoSlice make(const std::string &Name, size_t Len) {
+    return make(Name, Len, Len);
   }
 
   /// Slice copy (`s2 := s1`, pass-by-value, goroutine argument): reads
   /// the source's meta fields — the Listing 5 race — and gives the copy
   /// its own meta address.
   GoSlice(const GoSlice &Other)
-      : Name(Other.Name), MetaAddr(Runtime::current().allocAddr()) {
-    Runtime::current().read(Other.MetaAddr, Other.Name + ".meta");
+      : Name(Other.Name), MetaName(Other.MetaName), ElemName(Other.ElemName),
+        MetaAddr(Runtime::current().allocAddr()) {
+    Runtime::current().read(Other.MetaAddr, Other.MetaName);
     B = Other.B;
     Offset = Other.Offset;
     Length = Other.Length;
@@ -74,8 +83,8 @@ public:
     if (this == &Other)
       return *this;
     Runtime &RT = Runtime::current();
-    RT.read(Other.MetaAddr, Other.Name + ".meta");
-    RT.write(MetaAddr, Name + ".meta");
+    RT.read(Other.MetaAddr, Other.MetaName);
+    RT.write(MetaAddr, MetaName);
     B = Other.B;
     Offset = Other.Offset;
     Length = Other.Length;
@@ -85,18 +94,18 @@ public:
   /// s[I] read.
   T get(size_t I) const {
     Runtime &RT = Runtime::current();
-    RT.read(MetaAddr, Name + ".meta"); // Bounds check reads len.
+    RT.read(MetaAddr, MetaName); // Bounds check reads len.
     boundsCheck(I);
-    RT.read(elemAddr(I), Name + "[i]");
+    RT.read(elemAddr(I), ElemName);
     return B->Data[Offset + I];
   }
 
   /// s[I] = V.
   void set(size_t I, T V) {
     Runtime &RT = Runtime::current();
-    RT.read(MetaAddr, Name + ".meta");
+    RT.read(MetaAddr, MetaName);
     boundsCheck(I);
-    RT.write(elemAddr(I), Name + "[i]");
+    RT.write(elemAddr(I), ElemName);
     B->Data[Offset + I] = std::move(V);
   }
 
@@ -114,13 +123,13 @@ public:
   /// the same as if the storage had not moved.
   void append(T V) {
     Runtime &RT = Runtime::current();
-    RT.read(MetaAddr, Name + ".meta");
-    RT.write(MetaAddr, Name + ".meta");
+    RT.read(MetaAddr, MetaName);
+    RT.write(MetaAddr, MetaName);
     if (!B || Offset + Length >= B->Data.size()) {
       size_t NewCap = Length == 0 ? 1 : Length * 2;
       auto NewB = std::make_shared<Backing>(NewCap);
       for (size_t I = 0; I < Length; ++I)
-        RT.read(elemAddr(I), Name + "[i]");
+        RT.read(elemAddr(I), ElemName);
       if (NewB->Data.size() < Length)
         NewB->Data.resize(Length);
       for (size_t I = 0; I < Length; ++I)
@@ -128,7 +137,7 @@ public:
       B = std::move(NewB);
       Offset = 0;
     }
-    RT.write(B->ElemBase + Offset + Length, Name + "[i]");
+    RT.write(B->ElemBase + Offset + Length, ElemName);
     if (Offset + Length >= B->Data.size())
       B->Data.resize(Offset + Length + 1);
     B->Data[Offset + Length] = std::move(V);
@@ -140,12 +149,12 @@ public:
   /// (so concurrent writers to either side race, as in Go).
   size_t copyFrom(const GoSlice &Src) {
     Runtime &RT = Runtime::current();
-    RT.read(MetaAddr, Name + ".meta");
-    RT.read(Src.MetaAddr, Src.Name + ".meta");
+    RT.read(MetaAddr, MetaName);
+    RT.read(Src.MetaAddr, Src.MetaName);
     size_t Count = std::min(Length, Src.Length);
     for (size_t I = 0; I < Count; ++I) {
-      RT.read(Src.elemAddr(I), Src.Name + "[i]");
-      RT.write(elemAddr(I), Name + "[i]");
+      RT.read(Src.elemAddr(I), Src.ElemName);
+      RT.write(elemAddr(I), ElemName);
       B->Data[Offset + I] = Src.B->Data[Src.Offset + I];
     }
     return Count;
@@ -153,21 +162,30 @@ public:
 
   /// len(s).
   size_t len() const {
-    Runtime::current().read(MetaAddr, Name + ".meta");
+    Runtime::current().read(MetaAddr, MetaName);
     return Length;
   }
 
   /// cap(s).
   size_t capacity() const {
-    Runtime::current().read(MetaAddr, Name + ".meta");
-    return B ? B->Data.size() - Offset : 0;
+    Runtime::current().read(MetaAddr, MetaName);
+    return rawCap();
   }
 
-  /// s[Lo:Hi]: shares the backing array.
+  /// s[Lo:Hi]: shares the backing array. Go's bound is
+  /// 0 <= Lo <= Hi <= cap(s), so a slice may extend past len(s).
   GoSlice slice(size_t Lo, size_t Hi) const {
-    Runtime::current().read(MetaAddr, Name + ".meta");
-    assert(Lo <= Hi && Hi <= Length && "slice bounds out of range");
-    GoSlice Sub(Name + "[lo:hi]");
+    Runtime &RT = Runtime::current();
+    RT.read(MetaAddr, MetaName);
+    if (Hi > rawCap())
+      RT.panicNow("runtime error: slice bounds out of range [:" +
+                  std::to_string(Hi) + "] with capacity " +
+                  std::to_string(rawCap()) + " in " + name());
+    if (Lo > Hi)
+      RT.panicNow("runtime error: slice bounds out of range [" +
+                  std::to_string(Lo) + ":" + std::to_string(Hi) + "] in " +
+                  name());
+    GoSlice Sub(name() + "[lo:hi]");
     Sub.B = B;
     Sub.Offset = Offset + Lo;
     Sub.Length = Hi - Lo;
@@ -179,7 +197,9 @@ public:
   size_t rawLen() const { return Length; }
 
   race::Addr metaAddr() const { return MetaAddr; }
-  const std::string &name() const { return Name; }
+  const std::string &name() const {
+    return Runtime::current().nameText(Name);
+  }
 
 private:
   struct Backing {
@@ -191,13 +211,16 @@ private:
 
   race::Addr elemAddr(size_t I) const { return B->ElemBase + Offset + I; }
 
+  size_t rawCap() const { return B ? B->Data.size() - Offset : 0; }
+
   void boundsCheck(size_t I) const {
     if (I >= Length)
       Runtime::current().panicNow("runtime error: index out of range in " +
-                                  Name);
+                                  name());
   }
 
-  std::string Name;
+  /// Interned ids of the slice's name, its meta fields' and its elements'.
+  race::StrId Name, MetaName, ElemName;
   race::Addr MetaAddr;
   std::shared_ptr<Backing> B;
   size_t Offset = 0;

@@ -65,14 +65,15 @@ inline void atLine(uint32_t Line) {
 /// An instrumented Go variable of value type \p T.
 ///
 /// Each Shared owns a virtual shadow address allocated from the active
-/// runtime; loads and stores are routed through Runtime::read()/write().
-/// Copying a Shared reads the source (like `x := y` in Go) and gives the
-/// copy a fresh address (it is a different variable).
+/// runtime, and interns its name there once; loads and stores are routed
+/// through Runtime::read()/write(). Copying a Shared reads the source
+/// (like `x := y` in Go) and gives the copy a fresh address (it is a
+/// different variable).
 template <typename T> class Shared {
 public:
-  explicit Shared(std::string Name = std::string(), T Init = T())
-      : Name(std::move(Name)), A(Runtime::current().allocAddr()),
-        Value(std::move(Init)) {}
+  explicit Shared(const std::string &Name = std::string(), T Init = T())
+      : Name(Runtime::current().intern(Name)),
+        A(Runtime::current().allocAddr()), Value(std::move(Init)) {}
 
   Shared(const Shared &Other)
       : Name(Other.Name), A(Runtime::current().allocAddr()),
@@ -109,10 +110,12 @@ public:
   T &rawMutable() { return Value; }
 
   race::Addr addr() const { return A; }
-  const std::string &name() const { return Name; }
+  const std::string &name() const {
+    return Runtime::current().nameText(Name);
+  }
 
 private:
-  std::string Name;
+  race::StrId Name;
   race::Addr A;
   T Value;
 };
@@ -124,9 +127,10 @@ private:
 /// forgot to use it to read from the same variable" (§4.9.2).
 template <typename T> class GoAtomic {
 public:
-  explicit GoAtomic(std::string Name = std::string(), T Init = T())
-      : Name(std::move(Name)), A(Runtime::current().allocAddr()),
-        Sync(Runtime::current().det().newSyncVar(this->Name + ".atomic")),
+  explicit GoAtomic(const std::string &Name = std::string(), T Init = T())
+      : Name(Runtime::current().intern(Name)),
+        A(Runtime::current().allocAddr()),
+        Sync(Runtime::current().det().newSyncVar(Name + ".atomic")),
         Value(std::move(Init)) {}
 
   GoAtomic(const GoAtomic &) = delete;
@@ -140,7 +144,7 @@ public:
     Runtime &RT = Runtime::current();
     RT.preemptPoint();
     RT.det().annotate(race::EventKind::AtomicOp, RT.tid(), A,
-                      /*Flag=*/false, &Name);
+                      /*Flag=*/false, &RT.nameText(Name));
     RT.det().acquire(RT.tid(), Sync);
     if (RT.options().DetectRaces)
       RT.det().onRead(RT.tid(), A, Name);
@@ -153,7 +157,7 @@ public:
     Runtime &RT = Runtime::current();
     RT.preemptPoint();
     RT.det().annotate(race::EventKind::AtomicOp, RT.tid(), A,
-                      /*Flag=*/true, &Name);
+                      /*Flag=*/true, &RT.nameText(Name));
     RT.det().acquire(RT.tid(), Sync);
     if (RT.options().DetectRaces)
       RT.det().onWrite(RT.tid(), A, Name);
@@ -166,7 +170,7 @@ public:
     Runtime &RT = Runtime::current();
     RT.preemptPoint();
     RT.det().annotate(race::EventKind::AtomicOp, RT.tid(), A,
-                      /*Flag=*/true, &Name);
+                      /*Flag=*/true, &RT.nameText(Name));
     RT.det().acquire(RT.tid(), Sync);
     if (RT.options().DetectRaces) {
       RT.det().onRead(RT.tid(), A, Name);
@@ -190,7 +194,7 @@ public:
   }
 
 private:
-  std::string Name;
+  race::StrId Name;
   race::Addr A;
   race::SyncId Sync;
   T Value;

@@ -605,13 +605,13 @@ race::Addr Runtime::allocAddr(size_t Count) {
   return Base;
 }
 
-void Runtime::read(race::Addr A, const std::string &Name) {
+void Runtime::read(race::Addr A, race::StrId Name) {
   preemptPoint();
   if (Opts.DetectRaces)
     Det->onRead(tid(), A, Name);
 }
 
-void Runtime::write(race::Addr A, const std::string &Name) {
+void Runtime::write(race::Addr A, race::StrId Name) {
   preemptPoint();
   if (Opts.DetectRaces)
     Det->onWrite(tid(), A, Name);

@@ -270,9 +270,21 @@ public:
   race::Addr allocAddr(size_t Count = 1);
 
   /// Instrumented read/write of \p A by the current goroutine: preemption
-  /// point + detector event (when DetectRaces).
-  void read(race::Addr A, const std::string &Name = std::string());
-  void write(race::Addr A, const std::string &Name = std::string());
+  /// point + detector event (when DetectRaces). \p Name is the object's
+  /// name interned once in det().interner(), normally at construction.
+  void read(race::Addr A, race::StrId Name = race::NoName);
+  void write(race::Addr A, race::StrId Name = race::NoName);
+
+  /// Interns \p Name in this run's detector (what rt objects call when
+  /// they are constructed).
+  race::StrId intern(const std::string &Name) {
+    return Det->interner().intern(Name);
+  }
+
+  /// The text of an id from intern().
+  const std::string &nameText(race::StrId Name) const {
+    return Det->interner().text(Name);
+  }
 
   race::Detector &det() { return *Det; }
   const race::Detector &det() const { return *Det; }

@@ -120,12 +120,12 @@ bool OfflineDetector::apply(const Trace &T, const TraceRecord &Record) {
   case EventKind::Read:
     if (!CheckTid(Record.T))
       return false;
-    Det.onRead(Record.T, Record.A, T.text(Record.Str1));
+    Det.onRead(Record.T, Record.A, nameId(T, Record.Str1));
     break;
   case EventKind::Write:
     if (!CheckTid(Record.T))
       return false;
-    Det.onWrite(Record.T, Record.A, T.text(Record.Str1));
+    Det.onWrite(Record.T, Record.A, nameId(T, Record.Str1));
     break;
   case EventKind::DestroySync:
     if (!CheckTid(Record.T) || !CheckSync(Record.A))
@@ -145,8 +145,18 @@ bool OfflineDetector::apply(const Trace &T, const TraceRecord &Record) {
   return true;
 }
 
+race::StrId OfflineDetector::nameId(const Trace &T, TraceStrId Str) {
+  if (Str >= NameIds.size())
+    return race::NoName;
+  if (NameIds[Str] == Unmapped)
+    NameIds[Str] = Det.interner().intern(T.text(Str));
+  return NameIds[Str];
+}
+
 bool OfflineDetector::replay(const Trace &T) {
   obs::Span S = Metrics ? Metrics->span("replay") : obs::Span();
+  // Trace string ids are per trace.
+  NameIds.assign(T.Strings.size(), Unmapped);
   for (const TraceRecord &Record : T.Events) {
     if (!apply(T, Record))
       return false;

@@ -81,8 +81,14 @@ public:
 private:
   bool apply(const Trace &T, const TraceRecord &Record);
   bool fail(std::string Message);
+  /// The detector's id for trace string \p Str of \p T, interned on its
+  /// first use in the trace rather than at every access event.
+  race::StrId nameId(const Trace &T, TraceStrId Str);
 
   race::Detector Det;
+  static constexpr race::StrId Unmapped = ~static_cast<race::StrId>(0);
+  /// Trace string id -> detector string id for the trace being replayed.
+  std::vector<race::StrId> NameIds;
   /// NewSync events replayed so far. Structural validation bounds sync
   /// ids by Det.numSyncVarSlots() (free-list reuse makes the slot table,
   /// not this count, authoritative); kept as a replay statistic.

@@ -232,8 +232,8 @@ Verdict retireReaccessScript(DetectorOptions Opts, bool ForceGc) {
   constexpr Addr A = 0x9000;
 
   // Race #1: unordered writes by T0 and T1.
-  D.onWrite(T1, A, "x");
-  D.onWrite(T0, A, "x");
+  D.onWrite(T1, A, D.interner().intern("x"));
+  D.onWrite(T0, A, D.interner().intern("x"));
 
   // Dominate everything: T1 finishes, T0 joins it. MinClock becomes
   // T0's clock, which covers both writes.
@@ -250,8 +250,8 @@ Verdict retireReaccessScript(DetectorOptions Opts, bool ForceGc) {
   // Race #2 on the SAME address from a fresh goroutine. The rebuilt cell
   // must remember it already reported (ReportOnce) and the variable name.
   Tid T2 = D.fork(T0);
-  D.onWrite(T2, A, "x");
-  D.onWrite(T0, A, "x");
+  D.onWrite(T2, A, D.interner().intern("x"));
+  D.onWrite(T0, A, D.interner().intern("x"));
   if (ForceGc) {
     EXPECT_TRUE(D.hasShadow(A)) << "re-access did not rebuild the cell";
   }
@@ -286,7 +286,7 @@ TEST(GcTargeted, GcInsideCriticalSectionIsVerdictNeutral) {
     // HOLDING the lock, then writes the same address under the lock.
     D.acquire(T1, Mu);
     D.lockAcquired(T1, Mu, true);
-    D.onWrite(T1, A, "g");
+    D.onWrite(T1, A, D.interner().intern("g"));
     D.release(T1, Mu);
     D.lockReleased(T1, Mu, true);
     D.finish(T1);
@@ -296,7 +296,7 @@ TEST(GcTargeted, GcInsideCriticalSectionIsVerdictNeutral) {
     D.lockAcquired(T0, Mu, true);
     if (ForceGc)
       D.gcNow(); // Mid-critical-section collection.
-    D.onWrite(T0, A, "g");
+    D.onWrite(T0, A, D.interner().intern("g"));
     D.release(T0, Mu);
     D.lockReleased(T0, Mu, true);
     return verdictOf(D);

@@ -238,9 +238,9 @@ TEST(DetectorHB, ReportCarriesBothChains) {
   TwoThreads S;
   S.D.pushFrame(S.T0, S.D.makeFrame("main", "main.go", 1));
   S.D.pushFrame(S.T0, S.D.makeFrame("writer", "main.go", 5));
-  S.D.onWrite(S.T0, 0x10, "x");
+  S.D.onWrite(S.T0, 0x10, S.D.interner().intern("x"));
   S.D.pushFrame(S.T1, S.D.makeFrame("worker", "w.go", 9));
-  S.D.onWrite(S.T1, 0x10, "x");
+  S.D.onWrite(S.T1, 0x10, S.D.interner().intern("x"));
   ASSERT_EQ(S.D.reports().size(), 1u);
   const RaceReport &R = S.D.reports()[0];
   EXPECT_EQ(R.VariableName, "x");
@@ -437,8 +437,8 @@ TEST(DetectorMisc, LockSetEvidenceRendersWithCaveat) {
   DetectorOptions Opts;
   Opts.Mode = DetectMode::LockSetOnly;
   TwoThreads S(Opts);
-  S.D.onWrite(S.T0, 0x92, "var");
-  S.D.onWrite(S.T1, 0x92, "var");
+  S.D.onWrite(S.T0, 0x92, S.D.interner().intern("var"));
+  S.D.onWrite(S.T1, 0x92, S.D.interner().intern("var"));
   ASSERT_EQ(S.D.reports().size(), 1u);
   std::string Text = reportToString(S.D.interner(), S.D.reports()[0]);
   EXPECT_NE(Text.find("lock-set evidence"), std::string::npos);

@@ -531,8 +531,9 @@ TEST(Obs, PeakGaugesStayMonotoneWhenScrapeStraddlesGc) {
 
   race::Tid T0 = Det.newRootGoroutine();
   race::Tid T1 = Det.fork(T0);
+  race::StrId W = Det.interner().intern("w"); // Named: keeps a residue.
   for (race::Addr A = 0x700; A < 0x740; ++A)
-    Det.onWrite(T1, A, "w"); // Named: retirement must keep residue.
+    Det.onWrite(T1, A, W);
   Observer.sync(); // Scrape 1: peak == live == 64 cells.
   double Live1 = Reg.findGauge("grs_race_shadow_cells")->value();
   double Peak1 = Reg.findGauge("grs_detector_shadow_cells_peak")->value();

@@ -92,6 +92,66 @@ TEST(GoSlice, OutOfRangePanics) {
   EXPECT_NE(Result.Panics[0].find("index out of range"), std::string::npos);
 }
 
+// The slice bounds are checked in every build type, not only where
+// assert() is compiled in: a bad bound is a Go panic, never an index past
+// the backing.
+TEST(GoSlice, SliceBeyondCapPanics) {
+  bool Returned = false;
+  RunResult Result = runBody(5, [&] {
+    auto S = GoSlice<int>::make("s", 4);
+    S.slice(2, 8);
+    Returned = true;
+  });
+  EXPECT_FALSE(Returned);
+  ASSERT_EQ(Result.Panics.size(), 1u);
+  EXPECT_NE(Result.Panics[0].find(
+                "slice bounds out of range [:8] with capacity 4"),
+            std::string::npos)
+      << Result.Panics[0];
+}
+
+TEST(GoSlice, SliceWithLowAboveHighPanics) {
+  bool Returned = false;
+  RunResult Result = runBody(5, [&] {
+    auto S = GoSlice<int>::make("s", 4);
+    S.slice(3, 1);
+    Returned = true;
+  });
+  EXPECT_FALSE(Returned);
+  ASSERT_EQ(Result.Panics.size(), 1u);
+  EXPECT_NE(Result.Panics[0].find("slice bounds out of range [3:1]"),
+            std::string::npos)
+      << Result.Panics[0];
+}
+
+TEST(GoSlice, MakeWithCapBelowLenPanics) {
+  bool Returned = false;
+  RunResult Result = runBody(5, [&] {
+    GoSlice<int>::make("s", 4, 2);
+    Returned = true;
+  });
+  EXPECT_FALSE(Returned);
+  ASSERT_EQ(Result.Panics.size(), 1u);
+  EXPECT_NE(Result.Panics[0].find("makeslice: cap out of range"),
+            std::string::npos)
+      << Result.Panics[0];
+}
+
+TEST(GoSlice, ResliceUpToCapExtendsIntoTheBacking) {
+  // s[0:cap(s)] is legal Go: the new slice sees the backing's elements
+  // past len(s), and writes through it land in the shared array.
+  RunResult Result = runBody(4, [&] {
+    auto S = GoSlice<int>::make("s", 2, 4);
+    GoSlice<int> Full = S.slice(0, S.capacity());
+    EXPECT_EQ(Full.len(), 4u);
+    Full.set(3, 9);
+    GoSlice<int> Tail = S.slice(3, 4);
+    EXPECT_EQ(Tail.get(0), 9);
+    EXPECT_EQ(S.len(), 2u);
+  });
+  EXPECT_TRUE(Result.clean());
+}
+
 TEST(GoSlice, ConcurrentDisjointElementWritesAreRaceFree) {
   RunResult Result = runBody(6, [&] {
     auto S = std::make_shared<GoSlice<int>>(GoSlice<int>::make("s", 8));
