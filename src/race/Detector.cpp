@@ -23,6 +23,14 @@ struct Detector::ThreadState {
   /// storage released (every live thread already covers the clock, so a
   /// join from it is a guaranteed no-op).
   bool Trimmed = false;
+
+  /// Back to the default state, keeping the clock's and chain's capacity.
+  void reset() {
+    C.clear();
+    Chain.clear();
+    HeldWrite = HeldAll = LockSetRegistry::EmptyId;
+    Finished = Trimmed = false;
+  }
 };
 
 struct Detector::ShadowCell {
@@ -68,7 +76,9 @@ struct Detector::ShadowCell {
     WriteChain.clear();
     ReadChain.clear();
     ReadVC.clear();
-    SharedChains.clear();
+    // clear() walks every bucket; most cells never had a shared read.
+    if (!SharedChains.empty())
+      SharedChains.clear();
   }
 };
 
@@ -79,13 +89,64 @@ Detector::Detector(DetectorOptions Opts) : Opts(Opts) {
 
 Detector::~Detector() = default;
 
+void Detector::reset(DetectorOptions NewOpts) {
+  Opts = NewOpts;
+  if (Interner.size() > MaxKeptNames)
+    Interner = StringInterner();
+  LockSets.reset();
+  Reports.clear();
+  Sink_ = nullptr;
+  Observer_ = nullptr;
+  Stats = DetectorStats();
+
+  // Goroutine states and sync slots are reset when a run takes them
+  // again (allocThread(), newSyncVar()).
+  NumThreads = 0;
+  if (Threads.size() > MaxKeptSlots)
+    std::vector<ThreadState>().swap(Threads);
+  LiveThreads.clear();
+  UntrimmedFinished.clear();
+  SyncAlive.clear();
+  SyncEverLocked.clear();
+  SyncGen.clear();
+  SyncFree.clear();
+  if (SyncClocks.size() > MaxKeptSlots) {
+    std::vector<VectorClock>().swap(SyncClocks);
+    std::vector<std::string>().swap(SyncNames);
+  }
+
+  // The shadow table: the live cells and the slots the last run filled.
+  for (uint32_t P = 0; P < LiveCells; ++P)
+    Cells[CellOrder[P]].reset();
+  LiveCells = 0;
+  if (AllSlotsTouched)
+    std::fill(Slots.begin(), Slots.end(), ShadowSlot());
+  else
+    for (uint32_t I : TouchedSlots)
+      Slots[I] = ShadowSlot();
+  TouchedSlots.clear();
+  AllSlotsTouched = false;
+  UsedSlots = 0;
+  if (Slots.size() > MaxKeptSlots) {
+    std::vector<ShadowSlot>().swap(Slots);
+    std::vector<ShadowCell>().swap(Cells);
+    std::vector<uint32_t>().swap(CellOrder);
+    std::vector<uint32_t>().swap(TouchedSlots);
+    SlotShift = 0;
+  }
+
+  MinClock.clear();
+  EventsSinceGc = EventsSinceRefresh = 0;
+  PeakCells = PeakVcWords = PeakChainBytes = 0;
+}
+
 Detector::ThreadState &Detector::thread(Tid T) {
-  assert(T < Threads.size() && "unknown goroutine id");
+  assert(T < NumThreads && "unknown goroutine id");
   return Threads[T];
 }
 
 const Detector::ThreadState &Detector::thread(Tid T) const {
-  assert(T < Threads.size() && "unknown goroutine id");
+  assert(T < NumThreads && "unknown goroutine id");
   return Threads[T];
 }
 
@@ -136,6 +197,12 @@ Detector::ShadowSlot &Detector::shadowSlot(Addr A, StrId Name) {
       ;
   }
   ++UsedSlots;
+  if (!AllSlotsTouched) {
+    if (TouchedSlots.size() < Slots.size() / 8)
+      TouchedSlots.push_back(static_cast<uint32_t>(I));
+    else
+      AllSlotsTouched = true;
+  }
   ShadowSlot &Slot = Slots[I];
   Slot = ShadowSlot{A, takeCell(NoCell), Name, SlotState::Live};
   Cells[Slot.Cell].A = A;
@@ -156,6 +223,8 @@ size_t Detector::findSlot(Addr A) const {
 void Detector::growSlots() {
   std::vector<ShadowSlot> Old(Slots.empty() ? 32 : Slots.size() * 2);
   Old.swap(Slots);
+  // Rehashing fills slots all over the new table.
+  AllSlotsTouched = true;
   SlotShift = 64 - static_cast<unsigned>(__builtin_ctzll(Slots.size()));
   size_t Mask = Slots.size() - 1;
   for (const ShadowSlot &Slot : Old) {
@@ -224,8 +293,8 @@ ShadowFootprint Detector::footprint() const {
       F.ChainBytes += TS.Chain.size() * sizeof(Frame);
     }
   }
-  for (const VectorClock &VC : SyncClocks)
-    F.VcWords += VC.size();
+  for (size_t S = 0; S < SyncAlive.size(); ++S)
+    F.VcWords += SyncClocks[S].size();
   for (uint32_t P = 0; P < LiveCells; ++P) {
     const ShadowCell &Cell = Cells[CellOrder[P]];
     F.VcWords += Cell.ReadVC.size();
@@ -281,8 +350,11 @@ void Detector::annotate(EventKind Kind, Tid T, uint64_t A, bool Flag,
 //===----------------------------------------------------------------------===//
 
 Tid Detector::allocThread() {
-  Tid T = static_cast<Tid>(Threads.size());
-  Threads.emplace_back();
+  Tid T = NumThreads++;
+  if (T < Threads.size())
+    Threads[T].reset();
+  else
+    Threads.emplace_back();
   // Every goroutine starts at epoch (T, 1) so a fresh epoch is never
   // mistaken for the all-zero bottom.
   Threads[T].C.set(T, 1);
@@ -291,7 +363,7 @@ Tid Detector::allocThread() {
 }
 
 Tid Detector::newRootGoroutine() {
-  observe(EventKind::RootGoroutine, static_cast<Tid>(Threads.size()));
+  observe(EventKind::RootGoroutine, NumThreads);
   // A root has no happens-before predecessor, so it covers nothing: any
   // maintained minimum is invalid from here on. (State already reclaimed
   // under the old minimum assumed fork-descent from the existing roots —
@@ -313,7 +385,7 @@ Tid Detector::fork(Tid Parent) {
   return Child;
 }
 
-size_t Detector::numGoroutines() const { return Threads.size(); }
+size_t Detector::numGoroutines() const { return NumThreads; }
 
 void Detector::finish(Tid T) {
   countEvent();
@@ -367,9 +439,14 @@ SyncId Detector::newSyncVar(const std::string &Name) {
     ++Stats.SyncIdsReused;
     return S;
   }
-  SyncId S = static_cast<SyncId>(SyncClocks.size());
-  SyncClocks.emplace_back();
-  SyncNames.push_back(Name);
+  SyncId S = static_cast<SyncId>(SyncAlive.size());
+  if (S < SyncClocks.size()) {
+    SyncClocks[S].clear();
+    SyncNames[S] = Name;
+  } else {
+    SyncClocks.emplace_back();
+    SyncNames.push_back(Name);
+  }
   SyncAlive.push_back(1);
   SyncEverLocked.push_back(0);
   SyncGen.push_back(0);
@@ -377,7 +454,7 @@ SyncId Detector::newSyncVar(const std::string &Name) {
 }
 
 void Detector::acquire(Tid T, SyncId S) {
-  assert(S < SyncClocks.size() && "unknown sync object");
+  assert(S < SyncAlive.size() && "unknown sync object");
   countEvent();
   observe(EventKind::Acquire, T, S);
   if (!SyncAlive[S]) {
@@ -389,7 +466,7 @@ void Detector::acquire(Tid T, SyncId S) {
 }
 
 void Detector::release(Tid T, SyncId S) {
-  assert(S < SyncClocks.size() && "unknown sync object");
+  assert(S < SyncAlive.size() && "unknown sync object");
   countEvent();
   observe(EventKind::Release, T, S);
   if (!SyncAlive[S]) {
@@ -402,7 +479,7 @@ void Detector::release(Tid T, SyncId S) {
 }
 
 void Detector::releaseMerge(Tid T, SyncId S) {
-  assert(S < SyncClocks.size() && "unknown sync object");
+  assert(S < SyncAlive.size() && "unknown sync object");
   countEvent();
   observe(EventKind::ReleaseMerge, T, S);
   if (!SyncAlive[S]) {
@@ -415,7 +492,7 @@ void Detector::releaseMerge(Tid T, SyncId S) {
 }
 
 void Detector::transferSync(SyncId From, SyncId To) {
-  assert(From < SyncClocks.size() && To < SyncClocks.size() &&
+  assert(From < SyncAlive.size() && To < SyncAlive.size() &&
          "unknown sync object");
   countEvent();
   observe(EventKind::TransferSync, 0, From, To);
@@ -431,7 +508,7 @@ void Detector::destroySyncVar(Tid T, SyncId S) {
   observe(EventKind::DestroySync, T, S);
   // Benign on unknown/already-dead ids: runtime object teardown may
   // legitimately race with abandoned-goroutine unwinding at end of run.
-  if (S >= SyncClocks.size() || !SyncAlive[S])
+  if (S >= SyncAlive.size() || !SyncAlive[S])
     return;
   SyncAlive[S] = 0;
   ++SyncGen[S];
@@ -450,7 +527,7 @@ void Detector::destroySyncVar(Tid T, SyncId S) {
 }
 
 bool Detector::syncVarLive(SyncId S) const {
-  return S < SyncClocks.size() && SyncAlive[S];
+  return S < SyncAlive.size() && SyncAlive[S];
 }
 
 SyncGeneration Detector::syncVarGeneration(SyncId S) const {
@@ -894,7 +971,7 @@ void Detector::trimDominatedThreads() {
 }
 
 void Detector::sweepSyncClocks() {
-  for (SyncId S = 0; S < SyncClocks.size(); ++S) {
+  for (SyncId S = 0; S < SyncAlive.size(); ++S) {
     VectorClock &VC = SyncClocks[S];
     if (!SyncAlive[S] || VC.size() == 0 || !MinClock.coversAll(VC))
       continue;
@@ -928,7 +1005,7 @@ void Detector::sweepShadow() {
     // disagree on ReadShared. Never retire such a cell; clocks only
     // grow, so the guard clears as soon as the writer ticks or finishes.
     bool WriterMayFastPath = false;
-    if (Cell.WriteEpoch.valid() && Cell.WriteEpoch.Id < Threads.size()) {
+    if (Cell.WriteEpoch.valid() && Cell.WriteEpoch.Id < NumThreads) {
       const ThreadState &WS = Threads[Cell.WriteEpoch.Id];
       WriterMayFastPath =
           !WS.Finished && WS.C.get(Cell.WriteEpoch.Id) == Cell.WriteEpoch.Time;

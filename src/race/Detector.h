@@ -182,6 +182,28 @@ public:
   Detector(const Detector &) = delete;
   Detector &operator=(const Detector &) = delete;
 
+  /// Starts over under \p Opts, keeping storage: afterwards every
+  /// observable equals that of Detector(Opts) — stats(), footprint(),
+  /// reports(), goroutine, sync and lock-set ids, sync generations,
+  /// lockSets().stats(), minClock(), hasShadow() and clockOf() — while
+  /// goroutine clocks and chains, sync clocks and names, shadow slots and
+  /// cells, the lock-set table and the report vector keep their capacity
+  /// for the next run (rt's per-thread run arena, DESIGN.md §17). The
+  /// report sink and event observer are detached. Costs what the last
+  /// run used, not the capacity kept.
+  ///
+  /// The one exception is the interner: it keeps its strings, so a name
+  /// seen in an earlier run keeps its id and text() of an old id stays
+  /// valid. Nothing compares ids across runs — fingerprints, reports and
+  /// traces use the text — so no output changes. Past MaxKeptNames
+  /// strings it starts empty, and past MaxKeptSlots any other container
+  /// does, so one outsized run does not pin its storage for good.
+  void reset(DetectorOptions Opts);
+
+  /// The bounds reset() keeps storage under (see reset()).
+  static constexpr size_t MaxKeptNames = 1 << 12;
+  static constexpr size_t MaxKeptSlots = 1 << 16;
+
   //===------------------------------------------------------------------===//
   // Goroutine lifecycle
   //===------------------------------------------------------------------===//
@@ -248,7 +270,7 @@ public:
 
   /// Number of sync-object slots ever allocated (free-list reuse keeps
   /// this below the newSyncVar() call count).
-  size_t numSyncVarSlots() const { return SyncClocks.size(); }
+  size_t numSyncVarSlots() const { return SyncAlive.size(); }
 
   /// Mutex bookkeeping for the lock-set algorithm. \p WriteMode is true
   /// for Lock/Unlock and false for RLock/RUnlock. These do NOT create HB
@@ -422,7 +444,12 @@ private:
   }
 
   DetectorOptions Opts;
+  /// Goroutine states; those past NumThreads are kept from an earlier run
+  /// (reset()) for their storage.
   std::vector<ThreadState> Threads;
+  Tid NumThreads = 0;
+  /// Sync clocks and names, indexed by SyncId. Those past
+  /// SyncAlive.size() are kept from an earlier run for their storage.
   std::vector<VectorClock> SyncClocks;
   std::vector<std::string> SyncNames;
   /// The shadow table: a power-of-two array probed linearly from a
@@ -432,6 +459,12 @@ private:
   unsigned SlotShift = 0;
   /// Slots in use: live cells plus retired residues.
   size_t UsedSlots = 0;
+  /// The slots filled since the table last grew or was reset, so reset()
+  /// clears only those. Past an eighth of the table the list stops and
+  /// AllSlotsTouched makes reset() clear the whole table, which then costs
+  /// at most eight slots per fill.
+  std::vector<uint32_t> TouchedSlots;
+  bool AllSlotsTouched = false;
   /// Cell storage, dense. A retired cell is reset and kept for reuse, so
   /// the cells never outnumber the peak live count.
   std::vector<ShadowCell> Cells;
@@ -448,7 +481,8 @@ private:
   DetectorStats Stats;
 
   // Sync-object lifecycle (active in every GcMode so traces replay
-  // identically across GC settings).
+  // identically across GC settings). SyncAlive.size() is the number of
+  // sync slots in use.
   std::vector<uint8_t> SyncAlive;
   std::vector<uint8_t> SyncEverLocked;
   std::vector<SyncGeneration> SyncGen;

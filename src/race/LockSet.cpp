@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
 
 using namespace grs::race;
@@ -12,6 +13,17 @@ LockSetRegistry::LockSetRegistry() {
   // Reserve id 0 for the empty set.
   Sets.emplace_back();
   Index.emplace(std::vector<SyncId>(), EmptyId);
+}
+
+void LockSetRegistry::reset() {
+  Sets.resize(1);
+  // The empty set sorts first: keep its entry.
+  Index.erase(std::next(Index.begin()), Index.end());
+  IntersectMemo.clear();
+  // clear() walks every bucket, used or not.
+  if (!TransitionMemo.empty())
+    TransitionMemo.clear();
+  Stats = LockSetStats();
 }
 
 LockSetId LockSetRegistry::intern(std::vector<SyncId> Locks) {

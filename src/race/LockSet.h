@@ -50,6 +50,10 @@ public:
   /// The id of the empty set.
   static constexpr LockSetId EmptyId = 0;
 
+  /// Back to a fresh registry's ids and stats, keeping the table's
+  /// capacity; O(1) after a run that took no lock (Detector::reset()).
+  void reset();
+
   /// \returns the id of \p Set (sorted, deduplicated internally).
   LockSetId intern(std::vector<SyncId> Locks);
 

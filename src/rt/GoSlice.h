@@ -57,7 +57,7 @@ public:
       Runtime::current().panicNow(
           "runtime error: makeslice: cap out of range in " + Name);
     GoSlice S(Name);
-    S.B = std::make_shared<Backing>(Cap == 0 ? 1 : Cap);
+    S.B = std::make_shared<Backing>(Cap);
     S.Length = Len;
     return S;
   }

@@ -47,6 +47,7 @@ struct Runtime::Goroutine {
   GState State = GState::NeverStarted;
   std::function<void()> Body;
   std::unique_ptr<char[]> Stack;
+  size_t StackBytes = 0;
   /// The suspended context (see switchFiber); set when first resumed.
   void *Sp = nullptr;
   uint64_t WakeStep = 0;
@@ -55,6 +56,39 @@ struct Runtime::Goroutine {
 
 /// The runtime active on this thread, if any.
 static thread_local Runtime *ActiveRuntime = nullptr;
+
+//===----------------------------------------------------------------------===//
+// The run arena
+//
+// What the last Runtime on this thread left for the next one, so a warm
+// run refills no container: its detector (reset() in place), its vectors,
+// emptied with their capacity kept, and its goroutine records with their
+// fiber stacks. The detector and the vectors go to one Runtime at a time:
+// a Runtime finding none builds its own, and a Runtime destroyed while the
+// arena holds a detector drops its own. Spare records go to whichever
+// Runtime spawns next on the thread. A stack comes back only after its
+// run's teardown, when nothing refers into it any more, including a stack
+// a hard watchdog abort abandoned mid-frame. DESIGN.md §17 has the
+// contract and the memory bound.
+//===----------------------------------------------------------------------===//
+
+namespace {
+/// Spare goroutine records kept per thread: 16 MiB of default stacks, of
+/// which only the pages fibers touched are resident.
+constexpr size_t MaxSpareGoroutines = 64;
+} // namespace
+
+struct Runtime::Arena {
+  std::unique_ptr<race::Detector> Det;
+  std::vector<std::unique_ptr<Goroutine>> Goroutines;
+  std::vector<size_t> Runnable;
+  std::vector<std::unique_ptr<Goroutine>> Spare;
+};
+
+Runtime::Arena &Runtime::threadArena() {
+  static thread_local Arena A;
+  return A;
+}
 
 //===----------------------------------------------------------------------===//
 // Watchdog machinery
@@ -170,9 +204,16 @@ void setWatchdogTick(long IntervalNs) {
 } // namespace
 
 Runtime::Runtime(RunOptions Opts)
-    : Opts(std::move(Opts)),
-      Det(std::make_unique<race::Detector>(this->Opts.Detector)),
-      SchedRng(this->Opts.Seed) {
+    : Opts(std::move(Opts)), SchedRng(this->Opts.Seed) {
+  Arena &A = threadArena();
+  if (A.Det) {
+    Det = std::move(A.Det);
+    Det->reset(this->Opts.Detector);
+    Goroutines.swap(A.Goroutines);
+    Runnable.swap(A.Runnable);
+  } else {
+    Det = std::make_unique<race::Detector>(this->Opts.Detector);
+  }
   if (this->Opts.OnReport)
     Det->setReportSink([this](const race::RaceReport &Report) {
       this->Opts.OnReport(*Det, Report);
@@ -212,6 +253,20 @@ Runtime::Runtime(RunOptions Opts)
 Runtime::~Runtime() {
   if (MetricsObserver)
     MInstruments->releaseObserver(MetricsObserver);
+  Arena &A = threadArena();
+  for (std::unique_ptr<Goroutine> &G : Goroutines) {
+    // What the body captured dies with the Runtime, as it always did.
+    G->Body = nullptr;
+    if (A.Spare.size() < MaxSpareGoroutines)
+      A.Spare.push_back(std::move(G));
+  }
+  if (!A.Det) {
+    Goroutines.clear();
+    Runnable.clear();
+    A.Det = std::move(Det);
+    A.Goroutines.swap(Goroutines);
+    A.Runnable.swap(Runnable);
+  }
 }
 
 Runtime &Runtime::current() {
@@ -278,6 +333,29 @@ void switchFiber(void **Save, void *Load) {
 
 } // namespace
 
+std::unique_ptr<Runtime::Goroutine>
+Runtime::newGoroutine(race::Tid Id, const std::string &Name,
+                      std::function<void()> Body) {
+  std::vector<std::unique_ptr<Goroutine>> &Spare = threadArena().Spare;
+  std::unique_ptr<Goroutine> G;
+  if (!Spare.empty() && Spare.back()->StackBytes == Opts.StackBytes) {
+    G = std::move(Spare.back());
+    Spare.pop_back();
+    G->State = GState::NeverStarted;
+    G->Sp = nullptr;
+    G->WakeStep = 0;
+    G->BlockReason = "";
+  } else {
+    G = std::make_unique<Goroutine>();
+    G->Stack = newStack(Opts.StackBytes);
+    G->StackBytes = Opts.StackBytes;
+  }
+  G->Id = Id;
+  G->Name = Name;
+  G->Body = std::move(Body);
+  return G;
+}
+
 //===----------------------------------------------------------------------===//
 // Fiber entry
 //===----------------------------------------------------------------------===//
@@ -327,12 +405,8 @@ RunResult Runtime::run(std::function<void()> Main) {
   ActiveRuntime = this;
 
   // Goroutine 0: main.
-  auto MainG = std::make_unique<Goroutine>();
-  MainG->Id = Det->newRootGoroutine();
-  MainG->Name = "main";
-  MainG->Body = std::move(Main);
-  MainG->Stack = newStack(Opts.StackBytes);
-  Goroutines.push_back(std::move(MainG));
+  Goroutines.push_back(
+      newGoroutine(Det->newRootGoroutine(), "main", std::move(Main)));
 
   runScheduler();
   bool MainDone =
@@ -421,7 +495,6 @@ void Runtime::hardWatchdogAbort() {
 }
 
 void Runtime::schedulerLoop() {
-  std::vector<size_t> Runnable;
   for (;;) {
     if (Steps >= Opts.MaxSteps) {
       Result.StepLimitHit = true;
@@ -517,14 +590,9 @@ void Runtime::checkAbort() {
 
 race::Tid Runtime::go(const std::string &Name, std::function<void()> Body) {
   assert(Running && "go() outside of Runtime::run()");
-  auto G = std::make_unique<Goroutine>();
-  G->Id = Det->fork(tid());
-  G->Name = Name;
-  G->Body = std::move(Body);
-  G->Stack = newStack(Opts.StackBytes);
-  race::Tid NewTid = G->Id;
+  race::Tid NewTid = Det->fork(tid());
   assert(NewTid == Goroutines.size() && "tid / goroutine index skew");
-  Goroutines.push_back(std::move(G));
+  Goroutines.push_back(newGoroutine(NewTid, Name, std::move(Body)));
   obs::inc(MSpawns);
   return NewTid;
 }

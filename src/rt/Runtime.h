@@ -140,9 +140,9 @@ struct RunOptions {
   /// as RunResult::WatchdogFired instead of a hang. Note the hard path
   /// abandons the offending fiber's stack without unwinding it (its
   /// destructors never run), which is the price of recovering the thread
-  /// from non-cooperative code; the fiber's memory itself is still
-  /// released with the Runtime. run() throws std::system_error if the
-  /// kernel refuses the thread a timer.
+  /// from non-cooperative code; the stack itself goes back to the
+  /// thread's run arena with the Runtime, like any other. run() throws
+  /// std::system_error if the kernel refuses the thread a timer.
   uint64_t WatchdogMillis = 0;
   /// Optional deterministic choice hook: when set, EVERY scheduling
   /// choice point (which runnable goroutine to resume, which ready select
@@ -199,6 +199,14 @@ struct RunResult {
 /// The runtime: one instance per simulated program execution (like one Go
 /// test process). Not reentrant and not thread-safe; all goroutines run on
 /// the thread that called run().
+///
+/// Each OS thread keeps a run arena that a Runtime borrows at construction
+/// and returns at destruction: the last run's detector, reset in place
+/// (race::Detector::reset()), finished goroutine records with their fiber
+/// stacks, and the scheduler's vectors. A run on a warm thread therefore
+/// refills no container. Only one Runtime at a time borrows the detector;
+/// a second one alive on the same thread builds its own. Nothing a run
+/// reports depends on the reuse (DESIGN.md §17).
 class Runtime {
 public:
   explicit Runtime(RunOptions Opts = RunOptions());
@@ -311,7 +319,17 @@ public:
 
 private:
   struct Goroutine;
+  struct Arena;
   friend struct Goroutine;
+
+  /// This thread's run arena (Runtime.cpp).
+  static Arena &threadArena();
+
+  /// A goroutine record with a StackBytes stack: a spare one from this
+  /// thread's arena, or a new one.
+  std::unique_ptr<Goroutine> newGoroutine(race::Tid Id,
+                                          const std::string &Name,
+                                          std::function<void()> Body);
 
   void schedulerLoop();
   void resumeGoroutine(size_t Index);
@@ -347,6 +365,8 @@ private:
   /// for this Runtime's lifetime (see RunOptions::Metrics).
   obs::DetectorObserver *MetricsObserver = nullptr;
   std::vector<std::unique_ptr<Goroutine>> Goroutines;
+  /// The scheduler's runnable list, rebuilt at every step.
+  std::vector<size_t> Runnable;
   size_t CurrentIndex = 0;
   uint64_t Steps = 0;
   race::Addr NextAddr = 0x1000;

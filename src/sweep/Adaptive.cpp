@@ -2,6 +2,7 @@
 
 #include "sweep/Adaptive.h"
 
+#include "sweep/Helpers.h"
 #include "sweep/Resilient.h"
 
 #include "support/Rng.h"
@@ -421,18 +422,8 @@ AdaptiveResult sweep::adaptive(const AdaptiveOptions &Opts) {
         Records[Slot] = execPlanned(Plan[Slot], Opts, Reg);
       }
     };
-    if (Threads == 1 || Plan.size() == 1) {
-      Work(*WorkerRegs[0], WorkerTracks[0]);
-    } else {
-      unsigned Spawn = std::min<size_t>(Threads, Plan.size());
-      std::vector<std::thread> Pool;
-      Pool.reserve(Spawn);
-      for (unsigned I = 0; I < Spawn; ++I)
-        Pool.emplace_back(
-            [&, I] { Work(*WorkerRegs[I], WorkerTracks[I]); });
-      for (std::thread &T : Pool)
-        T.join();
-    }
+    fanOut(static_cast<unsigned>(std::min<size_t>(Threads, Plan.size())),
+           [&](unsigned I) { Work(*WorkerRegs[I], WorkerTracks[I]); });
 
     // Merge in planned order (the barrier): aggregation, dedup, and the
     // bandit update all see runs in the same sequence regardless of

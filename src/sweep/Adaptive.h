@@ -127,8 +127,9 @@ struct AdaptiveOptions {
   /// Planning is serial, so this fully determines the schedule of every
   /// exploit run given the run records.
   uint64_t PlannerSeed = 1;
-  /// Worker threads; 0 = hardware concurrency. The result is
-  /// bit-identical regardless.
+  /// Workers each round: the calling thread plus Threads - 1 helper threads
+  /// that persist across calls (sweep/Helpers.h); 0 = hardware
+  /// concurrency. The result is bit-identical regardless.
   unsigned Threads = 1;
   /// Tries per planned run when the run is DISTURBED — the watchdog
   /// fired or a foreign C++ exception crossed the fiber boundary (step

@@ -3,6 +3,7 @@
 #include "sweep/Resilient.h"
 
 #include "support/Hash.h"
+#include "sweep/Helpers.h"
 
 #include <atomic>
 #include <chrono>
@@ -251,16 +252,7 @@ ResilientResult sweep::resilient(const ResilientOptions &Opts) {
       Executed[Slot] = 1;
     }
   };
-  if (Threads <= 1) {
-    Worker(0);
-  } else {
-    std::vector<std::thread> Pool;
-    Pool.reserve(Threads);
-    for (unsigned I = 0; I < Threads; ++I)
-      Pool.emplace_back(Worker, I);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  fanOut(Threads, Worker);
   Writer.close();
 
   //===--------------------------------------------------------------------===//

@@ -61,8 +61,9 @@ struct ResilientOptions {
   /// FirstSeed + I.
   uint64_t FirstSeed = 1;
   uint64_t NumSeeds = 50;
-  /// Worker threads; 0 = hardware concurrency. The result is
-  /// bit-identical regardless.
+  /// Workers: the calling thread plus Threads - 1 helper threads
+  /// that persist across calls (sweep/Helpers.h); 0 = hardware
+  /// concurrency. The result is bit-identical regardless.
   unsigned Threads = 1;
   /// Tries per slot before quarantine (min 1). Matters for faults that
   /// are nondeterministic in real deployments; against the deterministic

@@ -32,7 +32,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <vector>
 
@@ -121,6 +123,32 @@ TEST(AdaptiveDeterminism, RepeatInvariance) {
   AdaptiveResult First = adaptive(exploitingOptions(*Dep, 2));
   AdaptiveResult Second = adaptive(exploitingOptions(*Dep, 2));
   EXPECT_EQ(First, Second);
+}
+
+// Round workers beyond the caller are helper threads that outlive the
+// call, so a second Threads = 2 call starts none: counted from inside
+// every run against the count just before the call.
+TEST(AdaptiveDeterminism, SecondCallStartsNoThread) {
+  const corpus::ScheduleDep *Dep = corpus::findScheduleDep("token-select");
+  ASSERT_NE(Dep, nullptr);
+  auto Threads = [] {
+    return std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+  };
+  AdaptiveOptions A = exploitingOptions(*Dep, 2);
+  AdaptiveResult First = adaptive(A);
+  std::atomic<long> Most{0};
+  A.Body = [&](const rt::RunOptions &Opts) {
+    long Now = Threads();
+    long Seen = Most.load();
+    while (Now > Seen && !Most.compare_exchange_weak(Seen, Now))
+      ;
+    return Dep->Run(Opts);
+  };
+  long Before = Threads();
+  EXPECT_EQ(adaptive(A), First);
+  EXPECT_EQ(Most.load(), Before);
 }
 
 TEST(AdaptiveDeterminism, BudgetBookkeepingAddsUp) {

@@ -6,7 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // Exact heap-allocation counts for the detector's hot paths: a warm
-// instrumented access, a GC collection and a lock event allocate nothing.
+// instrumented access, a GC collection and a lock event allocate nothing,
+// and a whole run on a warm thread allocates at most two blocks.
 // A count cannot flake the way a clock does, and it fails on the commit
 // that regresses it. This binary replaces the global operator new, so it
 // is a test executable of its own.
@@ -56,6 +57,29 @@ RunOptions quietOptions() {
   Opts.PreemptProbability = 0;
   Opts.Detector.Mode = race::DetectMode::HappensBefore;
   return Opts;
+}
+
+// The thread's run arena hands a Runtime the previous one's detector,
+// reset in place, and its goroutine records with their stacks, so a warm
+// run refills no container: an empty run, and a run that spawns eight
+// goroutines.
+TEST(AllocCount, WarmRunsAllocateAtMostTwo) {
+  const std::string Name = "a-goroutine-with-a-long-name";
+  for (int Spawns : {0, 8}) {
+    auto Run = [&] {
+      Runtime RT(quietOptions());
+      return RT.run([&] {
+        for (int I = 0; I < Spawns; ++I)
+          go(Name, [] { gosched(); });
+      });
+    };
+    ASSERT_TRUE(Run().clean()); // Warms the arena.
+    uint64_t Allocs0 = allocations();
+    RunResult R = Run();
+    uint64_t Allocs = allocations() - Allocs0;
+    ASSERT_TRUE(R.clean());
+    EXPECT_LE(Allocs, 2u) << Spawns << " spawns";
+  }
 }
 
 TEST(AllocCount, GcRetireAndRebuildAllocateNothingPerCell) {

@@ -34,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -286,7 +287,158 @@ TEST_P(TraceFuzz, GcDifferentialFuzz) {
   }
 }
 
+/// Feeds \p T to \p D with named accesses, a frame per goroutine, and
+/// an ending in which every worker finishes and is joined and every lock
+/// is destroyed: goroutine states, sync slots, chains, residues, lock
+/// sets and reports for a reset() to clear.
+void feedTrace(Detector &D, const Trace &T) {
+  std::vector<Tid> Threads{D.newRootGoroutine()};
+  D.pushFrame(Threads[0], D.makeFrame("main", "main.go", 1));
+  std::vector<SyncId> Locks;
+  for (size_t I = 0; I < T.NumLocks; ++I)
+    Locks.push_back(D.newSyncVar("lock" + std::to_string(I)));
+  constexpr Addr Base = 0x5000;
+  for (const TraceEvent &E : T.Events) {
+    Tid Actor = Threads[E.Thread];
+    switch (E.K) {
+    case TraceEvent::Fork:
+      Threads.push_back(D.fork(Actor));
+      D.pushFrame(Threads.back(),
+                  D.makeFrame("worker" + std::to_string(E.Object),
+                              "worker.go", E.Object));
+      break;
+    case TraceEvent::Acquire:
+      D.acquire(Actor, Locks[E.Object]);
+      D.lockAcquired(Actor, Locks[E.Object], true);
+      break;
+    case TraceEvent::Release:
+      D.release(Actor, Locks[E.Object]);
+      D.lockReleased(Actor, Locks[E.Object], true);
+      break;
+    case TraceEvent::Read:
+      D.onRead(Actor, Base + E.Object,
+               D.interner().intern("v" + std::to_string(E.Object)));
+      break;
+    case TraceEvent::Write:
+      D.onWrite(Actor, Base + E.Object,
+                D.interner().intern("v" + std::to_string(E.Object)));
+      break;
+    }
+  }
+  for (size_t I = Threads.size(); I-- > 1;) {
+    D.finish(Threads[I]);
+    D.join(Threads[0], Threads[I]);
+  }
+  for (SyncId L : Locks)
+    D.destroySyncVar(Threads[0], L);
+}
+
+template <typename T> std::vector<uint64_t> words(const T &Value) {
+  static_assert(sizeof(T) % sizeof(uint64_t) == 0);
+  std::vector<uint64_t> W(sizeof(T) / sizeof(uint64_t));
+  std::memcpy(W.data(), &Value, sizeof(T));
+  return W;
+}
+
+/// What a caller can observe of a detector fed \p Addrs addresses from
+/// 0x5000 on. No interner id: ids are the one thing reset() keeps.
+struct DetectorView {
+  std::vector<uint64_t> Stats, Footprint, LockStats;
+  size_t Goroutines = 0, SyncSlots = 0, LockSets = 0;
+  std::vector<std::string> Reports, Clocks;
+  std::vector<SyncGeneration> Generations;
+  std::vector<bool> Shadowed;
+
+  bool operator==(const DetectorView &) const = default;
+};
+
+DetectorView viewOf(const Detector &D, size_t Addrs) {
+  DetectorView V;
+  V.Stats = words(D.stats());
+  V.Footprint = words(D.footprint());
+  V.LockStats = words(D.lockSets().stats());
+  V.Goroutines = D.numGoroutines();
+  V.SyncSlots = D.numSyncVarSlots();
+  V.LockSets = D.lockSets().numInternedSets();
+  for (const RaceReport &R : D.reports())
+    V.Reports.push_back(reportToString(D.interner(), R));
+  for (Tid T = 0; T < D.numGoroutines(); ++T)
+    V.Clocks.push_back(D.clockOf(T).str());
+  V.Clocks.push_back(D.minClock().str());
+  for (SyncId S = 0; S < D.numSyncVarSlots(); ++S)
+    V.Generations.push_back(D.syncVarGeneration(S));
+  for (size_t A = 0; A < Addrs; ++A)
+    V.Shadowed.push_back(D.hasShadow(0x5000 + A));
+  return V;
+}
+
+// A detector reset() after trace X and then fed trace Y is a fresh
+// detector fed Y, under every mode, GC setting and chain setting, with
+// X run under different options than Y; right after the reset it is an
+// empty fresh detector. A wide run first grows the shadow table, so the
+// reset after X clears only the slots X filled.
+TEST_P(TraceFuzz, ResetEqualsAFreshDetector) {
+  const DetectMode Modes[] = {DetectMode::HappensBefore,
+                              DetectMode::LockSetOnly, DetectMode::Hybrid};
+  for (uint64_t Sub = 0; Sub < 3; ++Sub) {
+    uint64_t Seed = GetParam() * 1000 + Sub;
+    Trace X = makeTrace(Seed, /*LockDisciplined=*/false);
+    Trace Y = makeTrace(Seed + 500, /*LockDisciplined=*/Sub == 1);
+    for (size_t M = 0; M < 3; ++M)
+      for (GcMode Gc : {GcMode::Off, GcMode::MinClock})
+        for (bool KeepChains : {true, false}) {
+          DetectorOptions Before;
+          Before.Mode = Modes[(M + 1) % 3];
+          Before.Gc = Gc == GcMode::Off ? GcMode::MinClock : GcMode::Off;
+          Before.KeepChains = !KeepChains;
+          Before.GcIntervalEvents = 5;
+          DetectorOptions After;
+          After.Mode = Modes[M];
+          After.Gc = Gc;
+          After.KeepChains = KeepChains;
+          After.GcIntervalEvents = 16;
+          Detector Reused(Before);
+          Tid Root = Reused.newRootGoroutine();
+          for (Addr A = 0; A < 200; ++A)
+            Reused.onWrite(Root, 0x5000 + A);
+          Reused.reset(Before);
+          feedTrace(Reused, X);
+          Reused.reset(After);
+          EXPECT_EQ(viewOf(Reused, X.NumAddrs),
+                    viewOf(Detector(After), X.NumAddrs))
+              << "trace seed " << Seed << " right after the reset";
+          feedTrace(Reused, Y);
+          Detector Fresh(After);
+          feedTrace(Fresh, Y);
+          EXPECT_EQ(viewOf(Reused, Y.NumAddrs), viewOf(Fresh, Y.NumAddrs))
+              << "trace seed " << Seed << " mode " << M << " gc "
+              << static_cast<int>(Gc) << " chains " << KeepChains;
+        }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceFuzz, ::testing::Range<uint64_t>(1, 9));
+
+// Past its bounds reset() drops what an outsized run grew and starts the
+// interner empty, and the detector still equals a fresh one: 60,000
+// named addresses grow the shadow table past MaxKeptSlots, and 5,000 of
+// the names pass MaxKeptNames.
+TEST(DetectorReset, OutsizedRunIsReleasedAndStillEqualsFresh) {
+  Detector Reused;
+  Tid T = Reused.newRootGoroutine();
+  for (Addr A = 0; A < 60'000; ++A)
+    Reused.onWrite(T, 0x100000 + A,
+                   Reused.interner().intern(
+                       A < 5'000 ? "name" + std::to_string(A) : "x"));
+  ASSERT_GT(Reused.interner().size(), Detector::MaxKeptNames);
+  Reused.reset(DetectorOptions());
+  EXPECT_EQ(Reused.interner().size(), 1u);
+  Trace Y = makeTrace(77, /*LockDisciplined=*/false);
+  feedTrace(Reused, Y);
+  Detector Fresh;
+  feedTrace(Fresh, Y);
+  EXPECT_EQ(viewOf(Reused, Y.NumAddrs), viewOf(Fresh, Y.NumAddrs));
+}
 
 //===----------------------------------------------------------------------===//
 // Runtime-level program fuzzing

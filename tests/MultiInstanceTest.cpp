@@ -5,14 +5,19 @@
 //
 // The parallel sweep executor (sweep::resilient with Threads > 1) hosts
 // one Runtime + Detector per OS thread concurrently. That is only sound if those
-// components keep no shared mutable state: the runtime's only global is
-// the thread_local ActiveRuntime pointer, and the detector is fully
-// instance-owned. These tests are the regression net for that audit —
-// concurrent runs must be bit-identical to the same runs done serially.
+// components keep no shared mutable state: the runtime's only globals are
+// thread_local (the ActiveRuntime pointer and the run arena), and the
+// detector is fully instance-owned. These tests are the regression net
+// for that audit — concurrent runs must be bit-identical to the same runs
+// done serially.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Patterns.h"
+#include "lang/Interp.h"
+#include "lang/Ports.h"
+#include "obs/Export.h"
+#include "obs/Metrics.h"
 #include "pipeline/Fingerprint.h"
 #include "pipeline/Sweep.h"
 #include "rt/Channel.h"
@@ -23,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -102,16 +108,19 @@ TEST(MultiInstance, ConcurrentRuntimesMatchSerialRuns) {
 
 TEST(MultiInstance, TwoRuntimesBackToBackOnOneThread) {
   // Sequential reuse of the same thread must not leak state between
-  // instances either (ActiveRuntime is cleared at run() exit).
+  // instances either (ActiveRuntime is cleared at run() exit, and the
+  // second Runtime gets the first one's detector reset). The variable
+  // outlives main: w may run after main returned, and a variable on
+  // main's finished stack would hand it whatever that stack holds then.
   auto Go = [] {
     RunSnapshot Snap;
     rt::RunOptions Opts;
     Opts.Seed = 3;
     rt::Runtime RT(Opts);
     rt::RunResult R = RT.run([] {
-      rt::Shared<int> X("x");
-      rt::go("w", [&] { X = 1; });
-      X = 2;
+      auto X = std::make_shared<rt::Shared<int>>("x");
+      rt::go("w", [X] { *X = 1; });
+      *X = 2;
     });
     Snap.RaceCount = R.RaceCount;
     Snap.Steps = R.Steps;
@@ -120,6 +129,71 @@ TEST(MultiInstance, TwoRuntimesBackToBackOnOneThread) {
   RunSnapshot First = Go();
   RunSnapshot Second = Go();
   EXPECT_EQ(First, Second);
+}
+
+//===----------------------------------------------------------------------===//
+// The run arena: a warm thread runs exactly what a cold one does
+//===----------------------------------------------------------------------===//
+
+/// Everything one run shows: its RunResult and rendered reports and, with
+/// \p WithMetrics, its own registry's export, which carries the
+/// detector's stats and footprint and the runtime's counters.
+std::string runView(const sweep::Runner &Run, uint64_t Seed,
+                    bool WithMetrics) {
+  std::string View;
+  obs::Registry Reg(true);
+  rt::RunOptions Opts = rt::withSeed(Seed);
+  if (WithMetrics)
+    Opts.Metrics = &Reg;
+  Opts.OnReport = [&View](const race::Detector &D,
+                          const race::RaceReport &Report) {
+    View += race::reportToString(D.interner(), Report) + "\n";
+  };
+  rt::RunResult R = Run(Opts);
+  View += "main " + std::to_string(R.MainFinished) + " deadlock " +
+          std::to_string(R.Deadlocked) + " steplimit " +
+          std::to_string(R.StepLimitHit) + " watchdog " +
+          std::to_string(R.WatchdogFired) + R.WatchdogDetail + " steps " +
+          std::to_string(R.Steps) + " races " + std::to_string(R.RaceCount);
+  for (const auto *List : {&R.LeakedGoroutines, &R.Panics,
+                           &R.ForeignExceptions})
+    for (const std::string &Line : *List)
+      View += "\n" + Line;
+  if (WithMetrics)
+    View += "\n" + obs::prometheusText(Reg);
+  return View;
+}
+
+// Every corpus pattern, racy and fixed, and every .grs port: seed A, then
+// seed B, then seed A again on one thread, whose arena the previous jobs
+// warmed. Both A runs equal seed A on a fresh thread, with and without
+// metrics.
+TEST(RunArena, ReuseIsInvisibleOnEveryCorpusJob) {
+  std::vector<std::pair<std::string, sweep::Runner>> Jobs;
+  for (const corpus::Pattern &P : corpus::allPatterns()) {
+    Jobs.emplace_back(P.Id + "/racy", P.RunRacy);
+    Jobs.emplace_back(P.Id + "/fixed", P.RunFixed);
+  }
+  for (const lang::LangPort &Port : lang::langPorts()) {
+    std::string Error;
+    lang::ParseResult Parsed =
+        lang::loadProgramFile(lang::findTestdataPath(Port.File), &Error);
+    ASSERT_TRUE(Parsed.ok()) << Port.File << ": " << Error;
+    Jobs.emplace_back("port:" + Port.Id, lang::runner(Parsed.Prog));
+  }
+  const uint64_t A = 3, B = 4;
+  for (bool WithMetrics : {false, true}) {
+    for (const auto &[Name, Run] : Jobs) {
+      std::string Cold;
+      std::thread([&, &Run = Run] { Cold = runView(Run, A, WithMetrics); })
+          .join();
+      std::string First = runView(Run, A, WithMetrics);
+      runView(Run, B, WithMetrics);
+      std::string Again = runView(Run, A, WithMetrics);
+      EXPECT_EQ(First, Cold) << Name << " metrics " << WithMetrics;
+      EXPECT_EQ(Again, Cold) << Name << " metrics " << WithMetrics;
+    }
+  }
 }
 
 // The body swept below: a schedule-dependent race (checked flag vs use)

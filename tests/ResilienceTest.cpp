@@ -46,10 +46,12 @@
 #include "rt/Instr.h"
 #include "support/Rng.h"
 #include "support/Varint.h"
+#include "sweep/Helpers.h"
 #include "sweep/Resilient.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -57,7 +59,9 @@
 #include <map>
 #include <set>
 #include <stdexcept>
+#include <sys/wait.h>
 #include <thread>
+#include <unistd.h>
 
 using namespace grs;
 
@@ -613,6 +617,69 @@ TEST(Resilient, ThreadCountInvarianceUnderFaults) {
     EXPECT_EQ(sweep::resilient(RO), Serial)
         << Threads << " threads diverged";
   }
+}
+
+/// Threads of this process, counted in /proc/self/task.
+long threadCount() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator());
+}
+
+// Workers beyond the caller are helper threads that outlive the call, so
+// a second Threads = 2 call starts none: counted from inside every slot
+// against the count just before the call.
+TEST(Resilient, SecondCallStartsNoThread) {
+  pipeline::SweepOptions S;
+  S.FirstSeed = 7;
+  S.NumSeeds = 16;
+  sweep::ResilientOptions RO =
+      sweep::resilientFrom(S, corpus::hostBody(racyBody));
+  RO.Threads = 2;
+  sweep::ResilientResult First = sweep::resilient(RO);
+  long Most = 0;
+  RO.OnSlotDone = [&Most](const sweep::SlotRecord &) {
+    Most = std::max(Most, threadCount());
+  };
+  long Before = threadCount();
+  EXPECT_EQ(sweep::resilient(RO), First);
+  EXPECT_EQ(Most, Before);
+}
+
+// The helper set belongs to the process that started it: a child forked
+// after a warm Threads = 2 call runs the same call on helpers of its own
+// and gets the parent's result. The child's exit status is the verdict.
+TEST(Resilient, ForkedChildStartsItsOwnHelpers) {
+  pipeline::SweepOptions S;
+  S.FirstSeed = 7;
+  S.NumSeeds = 24;
+  sweep::ResilientOptions RO =
+      sweep::resilientFrom(S, corpus::hostBody(racyBody));
+  RO.Threads = 2;
+  sweep::ResilientResult Parent = sweep::resilient(RO);
+  pid_t Child = fork();
+  ASSERT_GE(Child, 0);
+  if (Child == 0)
+    _exit(sweep::resilient(RO) == Parent ? 0 : 1);
+  int Status = 0;
+  ASSERT_EQ(waitpid(Child, &Status, 0), Child);
+  ASSERT_TRUE(WIFEXITED(Status));
+  EXPECT_EQ(WEXITSTATUS(Status), 0) << "the child's result differs";
+}
+
+// An exception a worker throws on a helper thread reaches the caller once
+// every worker has returned, and the helper serves the next call.
+TEST(FanOut, HelperExceptionReachesTheCaller) {
+  std::atomic<unsigned> Ran{0};
+  EXPECT_THROW(sweep::fanOut(3,
+                             [&](unsigned Worker) {
+                               ++Ran;
+                               if (Worker == 2)
+                                 throw std::runtime_error("worker 2");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(Ran.load(), 3u);
+  sweep::fanOut(3, [&](unsigned) { ++Ran; });
+  EXPECT_EQ(Ran.load(), 6u);
 }
 
 /// Sweeps \p Faulted and its fault-free twin with journals, and checks

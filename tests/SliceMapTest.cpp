@@ -137,6 +137,43 @@ TEST(GoSlice, MakeWithCapBelowLenPanics) {
       << Result.Panics[0];
 }
 
+TEST(GoSlice, ZeroCapacityMakeHasCapacityZero) {
+  RunResult Result = runBody(5, [&] {
+    auto S = GoSlice<int>::make("s", 0);
+    EXPECT_EQ(S.capacity(), 0u);
+    EXPECT_EQ(GoSlice<int>::make("t", 0, 0).capacity(), 0u);
+  });
+  EXPECT_TRUE(Result.clean());
+}
+
+TEST(GoSlice, ZeroCapacityResliceToOnePanics) {
+  bool Returned = false;
+  RunResult Result = runBody(5, [&] {
+    auto S = GoSlice<int>::make("s", 0);
+    S.slice(0, 1);
+    Returned = true;
+  });
+  EXPECT_FALSE(Returned);
+  ASSERT_EQ(Result.Panics.size(), 1u);
+  EXPECT_NE(Result.Panics[0].find(
+                "slice bounds out of range [:1] with capacity 0"),
+            std::string::npos)
+      << Result.Panics[0];
+}
+
+TEST(GoSlice, AppendToZeroCapacitySliceGrows) {
+  RunResult Result = runBody(5, [&] {
+    auto S = GoSlice<int>::make("s", 0);
+    S.append(7);
+    S.append(8);
+    EXPECT_EQ(S.len(), 2u);
+    EXPECT_EQ(S.capacity(), 2u);
+    EXPECT_EQ(S.get(0), 7);
+    EXPECT_EQ(S.get(1), 8);
+  });
+  EXPECT_TRUE(Result.clean());
+}
+
 TEST(GoSlice, ResliceUpToCapExtendsIntoTheBacking) {
   // s[0:cap(s)] is legal Go: the new slice sees the backing's elements
   // past len(s), and writes through it land in the shared array.
