@@ -17,10 +17,18 @@
 //    worker-pool workload (DESIGN.md §13).
 //
 // Load drift on a shared host is what fails such gates, so each gate runs
-// one untimed warm-up per side, then pairs that alternate which side runs
-// first, and compares the best sample of each side. Every sample does at
-// least ~20 ms of work, as a sum of chunks that alternate with the other
-// side's chunks, so a burst of host noise lands on both sides of a pair.
+// an untimed warm-up per side, then pairs that alternate which side runs
+// first, and compares the best sample of each side. A sample is a sum of
+// chunks that alternate with the other side's chunks, so a burst of host
+// noise lands on both sides of a pair:
+//
+//  * pool — a chunk is one run of a 100-seed job, a sample 100 chunks;
+//  * timeline — a chunk is one 1000-seed sweep, and a sample takes as many
+//    chunks as the warm-up shows the faster side needs for 20 ms of work,
+//    so a faster sweep gets more chunks, not shorter samples;
+//  * gc — a sample is a single chunk, 4000 worker rounds on a fresh
+//    detector from a trimmed heap.
+//
 // Every count and equality check lives in the ctest suite instead, where
 // it cannot flake.
 //
@@ -38,6 +46,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <limits>
@@ -90,28 +99,59 @@ struct Gate {
   std::string Extra; ///< More JSON members, pre-rendered.
 };
 
+/// Work a sized sample does at least, milliseconds.
+constexpr double MinSampleMs = 20.0;
+
 /// Fills \p G's best-of-\p Pairs samples of \p A and \p B. A sample
 /// sums \p Chunks chunks of its side; within a pair the two sides' chunks
-/// alternate, A first on even pairs and B first on odd ones.
+/// alternate, A first on even pairs and B first on odd ones. The untimed
+/// warm-up runs one chunk of each side.
+///
+/// With \p Chunks 0 the warm-up instead alternates chunks until each side
+/// has done MinSampleMs of work, and a sample takes as many chunks as the
+/// fastest warm-up chunk needs to reach MinSampleMs. Chunks that then run
+/// faster than any warm-up chunk (the warm-up caught a slow CPU) leave a
+/// best sample short of MinSampleMs; the count is then re-sized from that
+/// sample and every pair runs again, at most twice.
 void interleave(Gate &G, const Side &A, const Side &B, int Pairs,
                 int Chunks) {
   G.Pairs = Pairs;
-  A();
-  B();
-  for (int P = 0; P < Pairs; ++P) {
-    double SumA = 0.0, SumB = 0.0;
-    for (int C = 0; C < Chunks; ++C) {
-      if (P % 2 == 0) {
-        SumA += A();
-        SumB += B();
-      } else {
-        SumB += B();
-        SumA += A();
-      }
+  double WarmA = A(), WarmB = B();
+  const bool Sized = Chunks == 0;
+  double ChunkMs = std::min(WarmA, WarmB);
+  if (Sized)
+    for (double SumA = WarmA, SumB = WarmB;
+         SumA < MinSampleMs || SumB < MinSampleMs;) {
+      double ChunkA = A(), ChunkB = B();
+      SumA += ChunkA;
+      SumB += ChunkB;
+      ChunkMs = std::min({ChunkMs, ChunkA, ChunkB});
     }
-    G.BestA = std::min(G.BestA, SumA);
-    G.BestB = std::min(G.BestB, SumB);
+  for (int Round = 0;; ++Round) {
+    if (Sized)
+      Chunks = static_cast<int>(std::ceil(MinSampleMs / ChunkMs));
+    G.BestA = G.BestB = std::numeric_limits<double>::infinity();
+    for (int P = 0; P < Pairs; ++P) {
+      double SumA = 0.0, SumB = 0.0;
+      for (int C = 0; C < Chunks; ++C) {
+        if (P % 2 == 0) {
+          SumA += A();
+          SumB += B();
+        } else {
+          SumB += B();
+          SumA += A();
+        }
+      }
+      G.BestA = std::min(G.BestA, SumA);
+      G.BestB = std::min(G.BestB, SumB);
+    }
+    double Best = std::min(G.BestA, G.BestB);
+    if (!Sized || Best >= MinSampleMs || Round == 2)
+      break;
+    ChunkMs = Best / Chunks;
   }
+  if (Sized)
+    G.Extra = ", \"chunks\": " + std::to_string(Chunks);
 }
 
 void judge(Gate &G, double Value, double Limit, bool AtMost) {
@@ -158,8 +198,8 @@ Gate poolGate() {
 }
 
 /// A: pipeline::sweep with no timeline; B: with a disabled one. A chunk
-/// sweeps 1000 seeds, a sample 12 chunks. The 10% margin is the tightest
-/// of the three, so this gate takes the most pairs.
+/// sweeps 1000 seeds; the warm-up sizes a sample to MinSampleMs. The 10%
+/// margin is the tightest of the three, so this gate takes the most pairs.
 Gate timelineGate() {
   Gate G;
   G.Name = "timeline_disabled_overhead_pct";
@@ -170,7 +210,7 @@ Gate timelineGate() {
   Disabled.Timeline = &Off;
   interleave(G, timed([&None] { pipeline::sweep(None, racyBody); }),
              timed([&Disabled] { pipeline::sweep(Disabled, racyBody); }),
-             21, 12);
+             21, /*Chunks=*/0);
   judge(G, (G.BestB / G.BestA - 1.0) * 100.0, 10.0, /*AtMost=*/true);
   return G;
 }

@@ -3,7 +3,6 @@
 #include "obs/Export.h"
 
 #include "obs/Metrics.h"
-#include "support/Render.h"
 
 #include <cmath>
 #include <cstdio>
@@ -93,16 +92,6 @@ std::string withLe(const InstrumentKey &Key, const std::string &Le) {
   return Out;
 }
 
-void walkPhases(const PhaseNode &Node, const std::string &Path,
-                const std::function<void(const PhaseNode &,
-                                         const std::string &)> &Fn) {
-  for (const std::unique_ptr<PhaseNode> &C : Node.Children) {
-    std::string ChildPath = Path.empty() ? C->Name : Path + "/" + C->Name;
-    Fn(*C, ChildPath);
-    walkPhases(*C, ChildPath, Fn);
-  }
-}
-
 /// Emits a `# TYPE` header the first time \p Name appears.
 void typeHeader(std::ostream &OS, std::string &Last, const std::string &Name,
                 const char *Kind) {
@@ -147,19 +136,6 @@ void obs::exportPrometheus(const Registry &R, std::ostream &OS) {
     OS << Key.str() << " " << num(S->back()) << "\n";
     OS << suffixed(Key, "_points") << " " << S->size() << "\n";
   }
-  bool PhaseHeader = false;
-  walkPhases(R.phaseRoot(), "",
-             [&](const PhaseNode &Node, const std::string &Path) {
-               if (!PhaseHeader) {
-                 OS << "# TYPE grs_obs_phase_ns_total counter\n"
-                    << "# TYPE grs_obs_phase_calls_total counter\n";
-                 PhaseHeader = true;
-               }
-               OS << "grs_obs_phase_ns_total{path=\"" << Path << "\"} "
-                  << Node.CumulativeNs << "\n";
-               OS << "grs_obs_phase_calls_total{path=\"" << Path << "\"} "
-                  << Node.Count << "\n";
-             });
 }
 
 std::string obs::prometheusText(const Registry &R) {
@@ -206,48 +182,10 @@ void obs::exportJsonLines(const Registry &R, std::ostream &OS) {
     }
     OS << "]}\n";
   }
-  walkPhases(R.phaseRoot(), "",
-             [&](const PhaseNode &Node, const std::string &Path) {
-               OS << "{\"type\":\"phase\",\"path\":\"" << jsonEscape(Path)
-                  << "\",\"calls\":" << Node.Count
-                  << ",\"cum_ns\":" << Node.CumulativeNs
-                  << ",\"self_ns\":" << Node.selfNs() << "}\n";
-             });
 }
 
 std::string obs::jsonLines(const Registry &R) {
   std::ostringstream OS;
   exportJsonLines(R, OS);
   return OS.str();
-}
-
-//===----------------------------------------------------------------------===//
-// Phase table rendering
-//===----------------------------------------------------------------------===//
-
-void obs::renderPhaseTable(std::ostream &OS, const Registry &R,
-                           const std::string &Title) {
-  support::TextTable Table(Title);
-  Table.setHeader({"Phase", "Calls", "Cum ms", "Self ms", "Self %"});
-  uint64_t Total = R.phaseRoot().childrenNs();
-  std::function<void(const PhaseNode &, size_t)> Emit =
-      [&](const PhaseNode &Node, size_t Depth) {
-        for (const std::unique_ptr<PhaseNode> &C : Node.Children) {
-          double Share = Total
-                             ? 100.0 * static_cast<double>(C->selfNs()) /
-                                   static_cast<double>(Total)
-                             : 0.0;
-          Table.addRow({std::string(2 * Depth, ' ') + C->Name,
-                        std::to_string(C->Count),
-                        support::fixed(static_cast<double>(C->CumulativeNs) /
-                                           1e6,
-                                       3),
-                        support::fixed(static_cast<double>(C->selfNs()) / 1e6,
-                                       3),
-                        support::fixed(Share, 1)});
-          Emit(*C, Depth + 1);
-        }
-      };
-  Emit(R.phaseRoot(), 0);
-  Table.render(OS);
 }

@@ -33,23 +33,15 @@ class Registry;
 
 /// Writes the Prometheus text exposition of \p R to \p OS. Timeseries
 /// instruments export their latest value as a gauge plus a `_points`
-/// count; phase-tree nodes export as `grs_obs_phase_ns_total` /
-/// `grs_obs_phase_calls_total` counters labelled with their slash-joined
-/// path.
+/// count.
 void exportPrometheus(const Registry &R, std::ostream &OS);
 std::string prometheusText(const Registry &R);
 
 /// Writes one JSON object per line for every instrument of \p R
-/// (counters, gauges, histograms with their buckets, full timeseries
-/// value arrays, and phase nodes with cumulative/self split).
+/// (counters, gauges, histograms with their buckets, and full timeseries
+/// value arrays).
 void exportJsonLines(const Registry &R, std::ostream &OS);
 std::string jsonLines(const Registry &R);
-
-/// Renders the phase tree as an indented support::TextTable (calls,
-/// cumulative ms, self ms, self share) — the profiler half of a telemetry
-/// dashboard.
-void renderPhaseTable(std::ostream &OS, const Registry &R,
-                      const std::string &Title);
 
 } // namespace obs
 } // namespace grs

@@ -214,9 +214,11 @@ enum class RecvStatus { Ok, TimedOut, TooLarge, Dead, Malformed };
 /// hard size cap. A client feeding one byte per poll interval (the
 /// slowloris shape) burns exactly ReadTimeoutMillis of the plane's
 /// time, never more.
-RecvStatus recvRequest(int Fd, const ServerLimits &Limits, HttpRequest &Req) {
+RecvStatus recvRequest(int Fd, HttpRequest &Req) {
+  constexpr size_t MaxBytes = MetricsServer::MaxRequestBytes;
   Clock::time_point Deadline =
-      Clock::now() + std::chrono::milliseconds(Limits.ReadTimeoutMillis);
+      Clock::now() +
+      std::chrono::milliseconds(MetricsServer::ReadTimeoutMillis);
   std::string Data;
   size_t HeaderEnd = std::string::npos;
   size_t Want = 0; // headers + body, known once headers are complete
@@ -246,18 +248,21 @@ RecvStatus recvRequest(int Fd, const ServerLimits &Limits, HttpRequest &Req) {
           size_t V = Colon + 1;
           while (V < Line.size() && Line[V] == ' ')
             ++V;
+          // Saturates just past the cap: a length of any number of
+          // digits is refused below instead of wrapping to a small one.
           Len = 0;
           for (; V < Line.size() && Line[V] >= '0' && Line[V] <= '9'; ++V)
-            Len = Len * 10 + static_cast<size_t>(Line[V] - '0');
+            Len = std::min(Len * 10 + static_cast<size_t>(Line[V] - '0'),
+                           MaxBytes + 1);
         }
         Want = HeaderEnd + Len;
-        if (Want > Limits.MaxRequestBytes)
+        if (Want > MaxBytes)
           return RecvStatus::TooLarge;
       }
     }
     if (HeaderEnd != std::string::npos && Data.size() >= Want)
       break;
-    if (Data.size() >= Limits.MaxRequestBytes)
+    if (Data.size() >= MaxBytes)
       return RecvStatus::TooLarge;
     ssize_t N = read(Fd, Buf, sizeof(Buf));
     if (N > 0) {
@@ -305,7 +310,7 @@ void MetricsServer::serveClient(int Client) {
   HttpRequest Req;
   HttpResponse Resp;
   bool Handled = false;
-  switch (recvRequest(Client, Limits, Req)) {
+  switch (recvRequest(Client, Req)) {
   case RecvStatus::Ok:
     break;
   case RecvStatus::TimedOut:
@@ -317,7 +322,7 @@ void MetricsServer::serveClient(int Client) {
   case RecvStatus::TooLarge:
     Overlarge.fetch_add(1);
     Resp.Status = 413;
-    Resp.Body = "request exceeds " + std::to_string(Limits.MaxRequestBytes) +
+    Resp.Body = "request exceeds " + std::to_string(MaxRequestBytes) +
                 " bytes\n";
     Handled = true;
     break;
@@ -372,7 +377,7 @@ void MetricsServer::serveClient(int Client) {
 
   std::string Response = renderResponse(Resp);
   Clock::time_point WriteDeadline =
-      Clock::now() + std::chrono::milliseconds(Limits.WriteTimeoutMillis);
+      Clock::now() + std::chrono::milliseconds(WriteTimeoutMillis);
   bool WriteTimedOut = false;
   if (!writeAllDeadline(Client, Response.data(), Response.size(),
                         WriteDeadline, WriteTimedOut) &&

@@ -44,11 +44,13 @@
 /// target, headers, and a Content-Length-delimited body. The parser is
 /// hardened against rude clients, because one serving thread means one
 /// slowloris holds the whole plane hostage: a connection that has not
-/// delivered its complete request within ServerLimits::ReadTimeoutMillis
+/// delivered its complete request within MetricsServer::ReadTimeoutMillis
 /// is answered 408 and dropped, one that will not accept response bytes
 /// within WriteTimeoutMillis is dropped mid-write, and one whose request
 /// (headers + declared body) exceeds MaxRequestBytes is answered 413
-/// without ever buffering the excess.
+/// without ever buffering the excess. A declared Content-Length is
+/// parsed saturating, so no length, however many digits it has, wraps
+/// past the cap.
 ///
 /// IntervalPublisher wraps the owner-driven publish cadence: the owner
 /// calls tick(Reg) at its natural serial points (per seed, per round)
@@ -97,18 +99,16 @@ struct HttpResponse {
 /// response is sent); false falls through to the built-in endpoints.
 using HttpHandler = std::function<bool(const HttpRequest &, HttpResponse &)>;
 
-/// Per-connection hardening knobs (see file comment).
-struct ServerLimits {
-  /// Full request (headers + body) must arrive within this; else 408.
-  uint64_t ReadTimeoutMillis = 5'000;
-  /// Response bytes must drain within this; else the socket is dropped.
-  uint64_t WriteTimeoutMillis = 5'000;
-  /// Hard cap on headers + declared body; else 413.
-  uint64_t MaxRequestBytes = 1 << 20;
-};
-
 class MetricsServer {
 public:
+  /// Per-connection hardening (see file comment). The full request
+  /// (headers + body) must arrive within this; else 408.
+  static constexpr uint64_t ReadTimeoutMillis = 5'000;
+  /// Response bytes must drain within this; else the socket is dropped.
+  static constexpr uint64_t WriteTimeoutMillis = 5'000;
+  /// Hard cap on headers + declared body; else 413.
+  static constexpr uint64_t MaxRequestBytes = 1 << 20;
+
   MetricsServer() = default;
   ~MetricsServer();
 
@@ -159,9 +159,6 @@ public:
   /// thread reads it unlocked.
   void setHandler(HttpHandler H) { Handler = std::move(H); }
 
-  /// Replaces the hardening knobs. Call BEFORE start().
-  void setLimits(ServerLimits L) { Limits = L; }
-
   /// Connections dropped for blowing ReadTimeoutMillis (slowloris) or
   /// WriteTimeoutMillis (unread response).
   uint64_t timeoutCount() const { return Timeouts.load(); }
@@ -180,7 +177,6 @@ private:
   std::atomic<uint64_t> Timeouts{0};
   std::atomic<uint64_t> Overlarge{0};
   HttpHandler Handler;
-  ServerLimits Limits;
   int ListenFd = -1;
   uint16_t BoundPort = 0;
   std::mutex SnapshotMutex;

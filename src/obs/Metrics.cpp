@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -102,57 +101,6 @@ support::Series Timeseries::toSeries(std::string DisplayName) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Phase tree
-//===----------------------------------------------------------------------===//
-
-uint64_t PhaseNode::childrenNs() const {
-  uint64_t Total = 0;
-  for (const std::unique_ptr<PhaseNode> &C : Children)
-    Total += C->CumulativeNs;
-  return Total;
-}
-
-PhaseNode *PhaseNode::child(const std::string &ChildName) {
-  for (std::unique_ptr<PhaseNode> &C : Children)
-    if (C->Name == ChildName)
-      return C.get();
-  Children.push_back(
-      std::make_unique<PhaseNode>(PhaseNode{ChildName, 0, 0, {}}));
-  return Children.back().get();
-}
-
-const PhaseNode *PhaseNode::find(const std::string &ChildName) const {
-  for (const std::unique_ptr<PhaseNode> &C : Children)
-    if (C->Name == ChildName)
-      return C.get();
-  return nullptr;
-}
-
-//===----------------------------------------------------------------------===//
-// Span
-//===----------------------------------------------------------------------===//
-
-Span &Span::operator=(Span &&Other) noexcept {
-  if (this != &Other) {
-    end();
-    Owner = Other.Owner;
-    Node = Other.Node;
-    StartNs = Other.StartNs;
-    Other.Owner = nullptr;
-    Other.Node = nullptr;
-  }
-  return *this;
-}
-
-void Span::end() {
-  if (!Owner)
-    return;
-  Owner->endSpan(Node, StartNs);
-  Owner = nullptr;
-  Node = nullptr;
-}
-
-//===----------------------------------------------------------------------===//
 // InstrumentKey
 //===----------------------------------------------------------------------===//
 
@@ -173,20 +121,9 @@ std::string InstrumentKey::str() const {
 // Registry
 //===----------------------------------------------------------------------===//
 
-static uint64_t steadyNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-Registry::Registry(bool Enabled) : Enabled(Enabled), Clock(&steadyNowNs) {}
+Registry::Registry(bool Enabled) : Enabled(Enabled) {}
 
 Registry::~Registry() = default;
-
-void Registry::setClock(std::function<uint64_t()> NewClock) {
-  Clock = std::move(NewClock);
-}
 
 namespace {
 /// Find-or-create over one instrument map. Sorting labels at creation
@@ -267,26 +204,4 @@ uint64_t Registry::counterTotal(const std::string &Name) const {
     if (Key.Name == Name)
       Total += C->value();
   return Total;
-}
-
-Span Registry::span(const std::string &Phase) {
-  if (!Enabled)
-    return Span();
-  PhaseNode *Node = Stack.back()->child(Phase);
-  ++Node->Count;
-  Stack.push_back(Node);
-  return Span(this, Node, now());
-}
-
-void Registry::endSpan(PhaseNode *Node, uint64_t StartNs) {
-  uint64_t End = now();
-  Node->CumulativeNs += End > StartNs ? End - StartNs : 0;
-  // Close any nested phases left open (Span destruction order normally
-  // guarantees LIFO; be forgiving if an inner span outlived its parent).
-  while (Stack.size() > 1) {
-    PhaseNode *Top = Stack.back();
-    Stack.pop_back();
-    if (Top == Node)
-      break;
-  }
 }

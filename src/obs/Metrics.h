@@ -25,9 +25,9 @@
 ///    `obs::set`/`obs::observe` helpers reduce to one predictable branch —
 ///    the zero-overhead-when-disabled contract, pinned by
 ///    Obs.RuntimeTreatsDisabledRegistryAsAbsent.
-///  * Everything is deterministic except wall-clock phase timings; tests
-///    inject a fake clock via Registry::setClock() so even span trees are
-///    bit-reproducible (same seed ⇒ identical exported snapshot).
+///  * Every instrument is deterministic: the registry reads no clock, so
+///    the same seed gives an identical exported snapshot. Wall-clock
+///    phase timings live on obs::Timeline (obs/Timeline.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,6 @@
 #include "support/Stats.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -143,54 +142,7 @@ private:
   std::vector<double> V;
 };
 
-/// One node of the hierarchical phase profile: cumulative time includes
-/// children; self time is cumulative minus children. Children keep
-/// first-entry order (deterministic under a deterministic clock).
-struct PhaseNode {
-  std::string Name;
-  uint64_t Count = 0;
-  uint64_t CumulativeNs = 0;
-  std::vector<std::unique_ptr<PhaseNode>> Children;
-
-  uint64_t childrenNs() const;
-  uint64_t selfNs() const {
-    uint64_t C = childrenNs();
-    return CumulativeNs > C ? CumulativeNs - C : 0;
-  }
-  /// Finds or creates the child named \p ChildName.
-  PhaseNode *child(const std::string &ChildName);
-  /// Finds the child named \p ChildName, or nullptr (const lookup).
-  const PhaseNode *find(const std::string &ChildName) const;
-};
-
-class Registry;
 class RuntimeInstruments;
-
-/// RAII handle for one timed phase. Obtained from Registry::span(); the
-/// phase ends at destruction (or an explicit end()). Nested spans build
-/// the phase tree. A default-constructed or disabled-registry Span is a
-/// no-op that never reads the clock.
-class Span {
-public:
-  Span() = default;
-  Span(Span &&Other) noexcept { *this = std::move(Other); }
-  Span &operator=(Span &&Other) noexcept;
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
-  ~Span() { end(); }
-
-  /// Ends the phase now; idempotent.
-  void end();
-
-private:
-  friend class Registry;
-  Span(Registry *Owner, PhaseNode *Node, uint64_t StartNs)
-      : Owner(Owner), Node(Node), StartNs(StartNs) {}
-
-  Registry *Owner = nullptr;
-  PhaseNode *Node = nullptr;
-  uint64_t StartNs = 0;
-};
 
 /// Identity of one instrument: name plus sorted label list.
 struct InstrumentKey {
@@ -261,21 +213,6 @@ public:
   RuntimeInstruments *runtimeInstruments();
 
   //===------------------------------------------------------------------===//
-  // Phase profiler
-  //===------------------------------------------------------------------===//
-
-  /// Opens a timed phase nested under the currently open phase. The
-  /// returned Span closes it.
-  Span span(const std::string &Phase);
-
-  const PhaseNode &phaseRoot() const { return Root; }
-
-  /// Clock used for span timings, in nanoseconds. Defaults to
-  /// std::chrono::steady_clock; tests inject a deterministic counter so
-  /// exported snapshots are bit-reproducible.
-  void setClock(std::function<uint64_t()> Clock);
-
-  //===------------------------------------------------------------------===//
   // Enumeration (sorted by InstrumentKey; used by obs/Export)
   //===------------------------------------------------------------------===//
 
@@ -294,19 +231,12 @@ public:
   }
 
 private:
-  friend class Span;
-  void endSpan(PhaseNode *Node, uint64_t StartNs);
-  uint64_t now() const { return Clock(); }
-
   bool Enabled;
-  std::function<uint64_t()> Clock;
   std::unique_ptr<RuntimeInstruments> RtInstruments;
   std::map<InstrumentKey, std::unique_ptr<Counter>> Counters;
   std::map<InstrumentKey, std::unique_ptr<Gauge>> Gauges;
   std::map<InstrumentKey, std::unique_ptr<Histogram>> Histograms;
   std::map<InstrumentKey, std::unique_ptr<Timeseries>> Series;
-  PhaseNode Root{"<root>", 0, 0, {}};
-  std::vector<PhaseNode *> Stack{&Root};
 };
 
 //===----------------------------------------------------------------------===//

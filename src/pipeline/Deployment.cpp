@@ -149,9 +149,8 @@ DeploymentOutcome DeploymentSimulator::run() {
   obs::Gauge *GSnapshotLoss =
       Reg.gauge("grs_pipeline_snapshot_loss_ratio");
 
-  // Flight recorder: the "deployment" track mirrors the day/phase span
-  // structure the registry profiles, so the Figure 2 architecture is
-  // visible as a timeline, not just as aggregate phase timings.
+  // Flight recorder: the "deployment" track times each day and its
+  // phases, so the Figure 2 architecture is visible as a timeline.
   obs::TimelineTrack *Track =
       Config.Timeline ? Config.Timeline->track("deployment") : nullptr;
 
@@ -183,7 +182,6 @@ DeploymentOutcome DeploymentSimulator::run() {
   uint32_t LateDays = 0;
 
   for (uint32_t Day = 0; Day < Config.Days; ++Day) {
-    obs::Span DaySpan = Reg.span("day");
     obs::TimelineScope DayTl =
         Track ? obs::TimelineScope(Track, "day",
                                    "\"day\":" + std::to_string(Day))
@@ -193,7 +191,6 @@ DeploymentOutcome DeploymentSimulator::run() {
     // only if it stays dormant in every CI run — the §3.2 flakiness
     // objection made quantitative.
     {
-      obs::Span S = Reg.span("arrivals");
       obs::TimelineScope Tl(Track, "arrivals");
       uint64_t Arrivals = Rng.poisson(Config.NewRacesPerDay);
       for (uint64_t I = 0; I < Arrivals; ++I) {
@@ -216,7 +213,6 @@ DeploymentOutcome DeploymentSimulator::run() {
 
     // (2) Developers enable/disable tests; the organization churns.
     {
-      obs::Span S = Reg.span("test-churn");
       obs::TimelineScope Tl(Track, "test-churn");
       for (LatentRace &Race : Races) {
         if (Race.TestEnabled) {
@@ -233,7 +229,6 @@ DeploymentOutcome DeploymentSimulator::run() {
     // detector on; collect manifested races.
     std::vector<size_t> Manifested;
     {
-      obs::Span S = Reg.span("snapshot");
       obs::TimelineScope Tl(Track, "snapshot");
       bool DayAborted = false;
       for (size_t I = 0; I < Races.size() && !DayAborted; ++I) {
@@ -304,7 +299,6 @@ DeploymentOutcome DeploymentSimulator::run() {
 
     // (4) File tasks, throttled during the ramp-up period.
     {
-      obs::Span S = Reg.span("filing");
       obs::TimelineScope Tl(Track, "filing");
       uint64_t FilingBudget = Day >= Config.FloodgateDay
                                   ? Manifested.size()
@@ -335,7 +329,6 @@ DeploymentOutcome DeploymentSimulator::run() {
     // (4b) Triage: open tasks whose assignee has left are re-routed to
     // an active member of the owning team (weekly pass).
     if (Day % 7 == 0) {
-      obs::Span S = Reg.span("triage");
       obs::TimelineScope Tl(Track, "triage");
       for (TaskId Id : Bugs.openTasks()) {
         Task &T = Bugs.task(Id);
@@ -356,7 +349,6 @@ DeploymentOutcome DeploymentSimulator::run() {
     // (5) Developers fix open tasks; one patch may close a whole
     // root-cause cluster; some fixes do not stick.
     {
-      obs::Span S = Reg.span("fixing");
       obs::TimelineScope Tl(Track, "fixing");
       double FixProb = Day <= Config.ShepherdingEndDay
                            ? Config.ShepherdedFixProb
@@ -401,7 +393,6 @@ DeploymentOutcome DeploymentSimulator::run() {
     // series fluctuates with flaky manifestation and test churn, as in
     // Figure 3.
     {
-      obs::Span S = Reg.span("telemetry");
       obs::TimelineScope Tl(Track, "telemetry");
       uint64_t Outstanding = 0;
       for (const LatentRace &Race : Races) {

@@ -153,8 +153,8 @@ struct DeploymentConfig {
   /// 1 - (1 - manifestProb)^CiRunsPerChange.
   unsigned CiRunsPerChange = 2;
   /// Optional metrics registry (borrowed; must outlive the simulator).
-  /// The simulator records its daily series, counters, and per-phase
-  /// timings as `grs_pipeline_*` instruments. When null — or when the
+  /// The simulator records its daily series and counters as
+  /// `grs_pipeline_*` instruments. When null — or when the
   /// registry is disabled — the simulator falls back to a private enabled
   /// registry, because the instruments double as its own bookkeeping (the
   /// DeploymentOutcome series are read back from them).
@@ -162,8 +162,7 @@ struct DeploymentConfig {
   /// Optional flight recorder (borrowed): each simulated day records a
   /// "day" span on the "deployment" track with the per-phase spans
   /// (arrivals, test-churn, snapshot, filing, triage, fixing, telemetry)
-  /// nested inside it — the timeline twin of the `grs_obs_phase_*`
-  /// profile. Recording never consumes simulation RNG.
+  /// nested inside it. Recording never consumes simulation RNG.
   obs::Timeline *Timeline = nullptr;
   MonorepoConfig Repo;
 };

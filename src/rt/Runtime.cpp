@@ -46,8 +46,7 @@ struct Runtime::Goroutine {
   std::string Name;
   GState State = GState::NeverStarted;
   std::function<void()> Body;
-  std::unique_ptr<char[]> Stack;
-  size_t StackBytes = 0;
+  std::unique_ptr<char[]> Stack; ///< FiberStackBytes long
   /// The suspended context (see switchFiber); set when first resumed.
   void *Sp = nullptr;
   uint64_t WakeStep = 0;
@@ -73,8 +72,8 @@ static thread_local Runtime *ActiveRuntime = nullptr;
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// Spare goroutine records kept per thread: 16 MiB of default stacks, of
-/// which only the pages fibers touched are resident.
+/// Spare goroutine records kept per thread: 16 MiB of stacks, of which
+/// only the pages fibers touched are resident.
 constexpr size_t MaxSpareGoroutines = 64;
 } // namespace
 
@@ -296,10 +295,10 @@ extern "C" void grs_fiber_switch(void **SaveSp, void *LoadSp);
 namespace {
 
 /// A fiber stack, deliberately not zeroed: a fiber writes its stack before
-/// reading it, and zeroing StackBytes was most of what a spawn cost
-/// (DESIGN.md §16).
-std::unique_ptr<char[]> newStack(size_t Bytes) {
-  return std::unique_ptr<char[]>(new char[Bytes]);
+/// reading it, and zeroing it was most of what a spawn cost (DESIGN.md
+/// §16).
+std::unique_ptr<char[]> newStack() {
+  return std::unique_ptr<char[]>(new char[FiberStackBytes]);
 }
 
 /// The suspended context of a fresh fiber on [Stack, Stack + Bytes) whose
@@ -338,7 +337,7 @@ Runtime::newGoroutine(race::Tid Id, const std::string &Name,
                       std::function<void()> Body) {
   std::vector<std::unique_ptr<Goroutine>> &Spare = threadArena().Spare;
   std::unique_ptr<Goroutine> G;
-  if (!Spare.empty() && Spare.back()->StackBytes == Opts.StackBytes) {
+  if (!Spare.empty()) {
     G = std::move(Spare.back());
     Spare.pop_back();
     G->State = GState::NeverStarted;
@@ -347,8 +346,7 @@ Runtime::newGoroutine(race::Tid Id, const std::string &Name,
     G->BlockReason = "";
   } else {
     G = std::make_unique<Goroutine>();
-    G->Stack = newStack(Opts.StackBytes);
-    G->StackBytes = Opts.StackBytes;
+    G->Stack = newStack();
   }
   G->Id = Id;
   G->Name = Name;
@@ -562,7 +560,7 @@ void Runtime::resumeGoroutine(size_t Index) {
   obs::inc(MCtxSwitches);
   CurrentIndex = Index;
   if (G.State == GState::NeverStarted)
-    G.Sp = makeFiber(G.Stack.get(), Opts.StackBytes,
+    G.Sp = makeFiber(G.Stack.get(), FiberStackBytes,
                      &Runtime::fiberTrampoline);
   G.State = GState::Running;
   switchFiber(&SchedSp, G.Sp);

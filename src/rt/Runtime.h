@@ -76,6 +76,10 @@ private:
 /// visible to user code (do not catch(...) inside goroutines).
 class AbortFiber {};
 
+/// Per-goroutine fiber stack size in bytes. Every goroutine gets this
+/// much, so any spare record in a thread's run arena fits any spawn.
+constexpr size_t FiberStackBytes = 256 * 1024;
+
 /// Scheduler and detector configuration for one run.
 struct RunOptions {
   /// Seed for all scheduling decisions. A run is a pure function of the
@@ -93,8 +97,6 @@ struct RunOptions {
   uint32_t Attempt = 1;
   /// Guard against livelock: abort after this many scheduling steps.
   uint64_t MaxSteps = 2'000'000;
-  /// Per-goroutine fiber stack size in bytes.
-  size_t StackBytes = 256 * 1024;
   /// Detector configuration (mode, throttling, chain retention).
   race::DetectorOptions Detector;
   /// When false, memory accesses are not sent to the detector at all --
@@ -325,7 +327,7 @@ private:
   /// This thread's run arena (Runtime.cpp).
   static Arena &threadArena();
 
-  /// A goroutine record with a StackBytes stack: a spare one from this
+  /// A goroutine record with its fiber stack: a spare one from this
   /// thread's arena, or a new one.
   std::unique_ptr<Goroutine> newGoroutine(race::Tid Id,
                                           const std::string &Name,

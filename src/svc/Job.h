@@ -20,7 +20,8 @@
 ///  * resolve() is a pure function of the spec bytes, so the SAME
 ///    function serves as the PoolHost SpecResolver on both sides of the
 ///    fork — the parent validates at admission, the worker re-derives
-///    the runnable body from shared memory, and they cannot disagree.
+///    the runnable body from the spec bytes its Job frame carries, and
+///    they cannot disagree.
 ///
 ///  * hash() (Fnv1a over the canonical compact rendering) identifies
 ///    the full recipe. The service feeds it through ResilientOptions::
@@ -119,8 +120,8 @@ struct JobSpec {
   /// parse(toJson()) round-trips exactly.
   support::Json toJson() const;
 
-  /// Canonical wire/arena form: renderJson(toJson()). The bytes the
-  /// service publishes to the pool and hashes.
+  /// Canonical wire form: renderJson(toJson()). The bytes the service
+  /// sends to the pool's workers and hashes.
   std::string canonicalBytes() const;
 
   /// Fnv1a over canonicalBytes() — the job's recipe identity.

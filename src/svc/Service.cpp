@@ -195,7 +195,6 @@ bool SweepService::start(std::string &Error) {
   PH.ForceForkFree = Opts.ForceForkFree;
   Pool = std::make_unique<sweep::PoolHost>(std::move(PH));
 
-  Http.setLimits(Opts.HttpLimits);
   Http.setHandler([this](const obs::HttpRequest &Req,
                          obs::HttpResponse &Resp) {
     return handleHttp(Req, Resp);

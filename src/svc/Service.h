@@ -53,8 +53,9 @@
 ///
 /// Graceful drain (SIGTERM path): drain() stops admission (429s become
 /// 503s), cancels the in-flight job cooperatively — committed slots are
-/// already journaled, the cancel salvages every committed frame from the
-/// worker arenas — and parks everything else as Queued state on disk.
+/// already journaled, and the cancel journals every record the workers
+/// had already sent down their sockets — and parks everything else as
+/// Queued state on disk.
 /// waitDrained() then returns and the host exits 0. The next start()
 /// resumes every parked job from its journal.
 ///
@@ -107,8 +108,6 @@ struct ServiceOptions {
   /// Degradation forcing for tests: run every job on the in-process
   /// rung (still journaled, still cancellable, still resumable).
   bool ForceForkFree = false;
-  /// HTTP hardening knobs (satellite of the same PR).
-  obs::ServerLimits HttpLimits;
 };
 
 /// Point-in-time job status (copied out under the service lock). It is

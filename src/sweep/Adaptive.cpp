@@ -154,6 +154,11 @@ size_t sweep::numFeatureBuckets() { return NumRateBands * NumEntropyBands; }
 
 namespace {
 
+/// Epsilon-greedy exploration among bandit arms: the probability of
+/// sampling an arm weighted toward the under-pulled instead of taking
+/// the best-mean arm.
+constexpr double Epsilon = 0.15;
+
 struct PlannedRun {
   uint64_t Seed = 0;
   double Prob = 0.2;
@@ -361,7 +366,7 @@ AdaptiveResult sweep::adaptive(const AdaptiveOptions &Opts) {
         if (BestParent[A].Valid)
           Eligible.push_back(A);
       size_t Arm = Eligible.front();
-      if (Planner.chance(std::clamp(Opts.Epsilon, 0.0, 1.0))) {
+      if (Planner.chance(Epsilon)) {
         std::vector<double> Weights;
         for (size_t A : Eligible)
           Weights.push_back(1.0 /

@@ -119,10 +119,6 @@ struct AdaptiveOptions {
   /// Fraction of each round (after round 0) given to exploit runs;
   /// 0 = pure uniform sweep (the parity case).
   double ExploitWeight = 0.7;
-  /// Epsilon-greedy exploration among bandit arms: probability of
-  /// sampling an arm weighted toward the under-pulled instead of taking
-  /// the best-mean arm.
-  double Epsilon = 0.15;
   /// Seed of the planner's RNG stream (arm picks, ladder mutations).
   /// Planning is serial, so this fully determines the schedule of every
   /// exploit run given the run records.

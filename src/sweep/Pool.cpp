@@ -7,7 +7,6 @@
 #include "obs/Timeline.h"
 #include "support/Shm.h"
 #include "support/Varint.h"
-#include "sweep/Cgroup.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -41,6 +40,10 @@ constexpr size_t SlotsInFlight = 16;
 
 /// The descriptor a worker's end of its socket is moved to.
 constexpr int WorkerFd = 3;
+
+/// Cap on one respawn backoff wait, microseconds: however long a crash
+/// storm lasts, a respawn waits at most half a second.
+constexpr uint64_t RespawnBackoffCapMicros = 500'000;
 
 /// Exit code of a worker that cannot follow its host's stream: a frame
 /// it cannot parse, or a spec its resolver rejects (the host resolved
@@ -103,7 +106,7 @@ void encodeVarintFrame(std::vector<uint8_t> &Out, FrameKind Kind,
 /// twice), and never unwinds: an exception that escapes it (say,
 /// std::bad_alloc under RLIMIT_AS) terminates the worker instead of
 /// unwinding into its copy of the host's frames. Opens NOTHING.
-[[noreturn]] void workerMain(const PoolHostOptions &Opts, bool SkipRlimitAs,
+[[noreturn]] void workerMain(const PoolHostOptions &Opts,
                              uint64_t HostAsBytes) noexcept {
   rt::prepareChildAfterFork();
   // A worker without its host is garbage: if the host is SIGKILLed (the
@@ -112,7 +115,7 @@ void encodeVarintFrame(std::vector<uint8_t> &Out, FrameKind Kind,
   // the socket, and the first send or read below ends the worker.
   prctl(PR_SET_PDEATHSIG, SIGKILL);
   inject::enterSandbox();
-  if (!SkipRlimitAs && Opts.RlimitAsBytes) {
+  if (Opts.RlimitAsBytes) {
     struct rlimit As;
     As.rlim_cur = As.rlim_max =
         static_cast<rlim_t>(HostAsBytes + Opts.RlimitAsBytes);
@@ -216,7 +219,6 @@ struct Worker {
   bool KilledByUs = false;  ///< SIGKILLed for a stall or a corrupt stream
   int Tier = -1;            ///< SandboxTier the worker reported; -1 before
   uint64_t Job = 0;         ///< the job whose spec it was sent (JobSeq)
-  uint64_t OomKillBase = 0; ///< cgroup oom_kill counter at spawn
   Clock::time_point LastProgress;
   FrameParser Parser;
   /// Slots sent and not yet answered, in the order sent (= run order).
@@ -232,8 +234,6 @@ struct Fleet {
   PoolHostOptions Opts;
   PoolHostStats Host;
   std::vector<Worker> Seats;
-  CgroupMemory Cg;
-  bool CgroupTried = false;
   /// Counts pool runs, so the host knows which spec each worker holds.
   uint64_t JobSeq = 0;
 
@@ -356,18 +356,13 @@ bool JobRun::spawn(unsigned W) {
       close(Fds[0]);
       dup2(Fds[1], WorkerFd); // a no-op when the end already is fd 3
       close_range(WorkerFd + 1, ~0U, 0);
-      workerMain(F.Opts, F.Cg.active(), HostAsBytes);
+      workerMain(F.Opts, HostAsBytes);
     }
     close(Fds[1]);
     if (Pid < 0) {
       close(Fds[0]);
       return false;
     }
-  }
-  if (F.Cg.active()) {
-    F.Cg.attach(W, Pid);
-    uint64_t Kills = F.Cg.oomKills(W);
-    S.OomKillBase = Kills == UINT64_MAX ? 0 : Kills;
   }
   S.Pid = Pid;
   S.Fd = Fds[0];
@@ -424,9 +419,7 @@ void JobRun::respawnIfShort(Clock::time_point Now) {
   if (!RespawnWaiting && RespawnStreak > 0 && F.Opts.RespawnBackoffMicros) {
     uint64_t Wait = F.Opts.RespawnBackoffMicros
                     << std::min<uint32_t>(RespawnStreak - 1, 32);
-    Wait = std::min(Wait, F.Opts.RespawnBackoffMaxMicros
-                              ? F.Opts.RespawnBackoffMaxMicros
-                              : Wait);
+    Wait = std::min(Wait, RespawnBackoffCapMicros);
     RespawnReady = Now + std::chrono::microseconds(Wait);
     RespawnWaiting = true;
     ++Stats.BackoffWaits;
@@ -583,15 +576,6 @@ void JobRun::handleDeath(unsigned W) {
   if (Held.empty() && CleanExit)
     return; // a worker that quit between slots is no death
   ChildDeath D = classifyChildDeath(Status, S.KilledByUs);
-  if (Stats.CgroupMemory && !S.KilledByUs && WIFSIGNALED(Status) &&
-      WTERMSIG(Status) == SIGKILL) {
-    // Real memory accounting: an external SIGKILL is the kernel OOM
-    // killer only if this worker's cgroup says so.
-    uint64_t Kills = F.Cg.oomKills(W);
-    if (Kills != UINT64_MAX && Kills <= S.OomKillBase)
-      D = {FaultClass::Signal,
-           "child killed by signal " + std::to_string(SIGKILL)};
-  }
   ++Stats.DeathsByClass[static_cast<size_t>(D.Class)];
   if (S.KilledByUs)
     ++Stats.SupervisorKills;
@@ -614,9 +598,7 @@ void JobRun::handleDeath(unsigned W) {
   Held.pop_front();
   Queue.insert(Queue.begin(), Held.begin(), Held.end());
   ++DeathsOfSlot[V.Slot];
-  bool Poisoned = F.Opts.PoisonWorkerDeaths &&
-                  DeathsOfSlot[V.Slot] >= F.Opts.PoisonWorkerDeaths;
-  if (V.Attempt < MaxAttempts && !Poisoned) {
+  if (V.Attempt < MaxAttempts) {
     Queue.push_back({V.Slot, V.Attempt + 1});
     return;
   }
@@ -628,7 +610,7 @@ void JobRun::handleDeath(unsigned W) {
   Q.Fault = D.Class;
   Q.FaultDetail = D.Detail;
   deliver(std::move(Q));
-  if (DeathsOfSlot[V.Slot] >= V.Attempt || Poisoned)
+  if (DeathsOfSlot[V.Slot] >= V.Attempt)
     ++Stats.PoisonSlots;
   if (Track)
     Track->instant("quarantine", "\"slot\":" + std::to_string(V.Slot));
@@ -681,10 +663,6 @@ bool JobRun::run() {
                                    "\"workers\":" + std::to_string(Seats) +
                                        ",\"slots\":" + std::to_string(Total))
               : obs::TimelineScope();
-    if (F.Opts.UseCgroupMemory && !F.CgroupTried) {
-      F.Cg.setup(static_cast<unsigned>(F.Seats.size()), F.Opts.RlimitAsBytes);
-      F.CgroupTried = true;
-    }
     // A warm host re-enters here with its workers alive and blocked on
     // their sockets: the first dispatch wakes them and nothing forks.
     unsigned Live = live();
@@ -697,7 +675,6 @@ bool JobRun::run() {
       Writer.close();
       return false;
     }
-    Stats.CgroupMemory = F.Cg.active();
 
     std::vector<struct pollfd> PFDs;
     std::vector<unsigned> PfdWorker;
@@ -795,7 +772,6 @@ void exportInstruments(obs::Registry &Reg, const PoolStats &Stats) {
                Stats.DeathsByClass[C]);
   obs::set(Reg.gauge("grs_isolation_sandbox_tier"),
            static_cast<double>(Stats.Tier));
-  obs::set(Reg.gauge("grs_pool_cgroup_memory"), Stats.CgroupMemory ? 1.0 : 0.0);
   obs::set(Reg.gauge("grs_pool_fork_free"), Stats.ForkFree ? 1.0 : 0.0);
 }
 
@@ -816,11 +792,7 @@ PoolHost::PoolHost(PoolHostOptions Opts) : M(std::make_unique<Impl>()) {
 
 PoolHost::~PoolHost() { shutdown(); }
 
-void PoolHost::shutdown() {
-  M->retire();
-  M->Cg.teardown();
-  M->CgroupTried = false;
-}
+void PoolHost::shutdown() { M->retire(); }
 
 const PoolHostStats &PoolHost::hostStats() const { return M->Host; }
 

@@ -49,8 +49,8 @@
 ///
 ///   - Lazy respawn with exponential backoff: a dead worker is replaced
 ///     only when queued work exists, and a crash storm stretches the
-///     respawn interval (RespawnBackoffMicros doubling up to the cap,
-///     reset by any delivered record) so a poison workload cannot
+///     respawn interval (RespawnBackoffMicros doubling up to a 500 ms
+///     cap, reset by any delivered record) so a poison workload cannot
 ///     fork-bomb the parent.
 ///
 ///   - Poison-slot containment: each worker death charges the victim
@@ -58,8 +58,6 @@
 ///     the in-process executor uses, so a slot that kills every worker
 ///     it touches is quarantined after MaxAttempts deaths, with the same
 ///     attempt counts the in-process rung records for the same plan.
-///     PoisonWorkerDeaths tightens that to K consecutive deaths for
-///     hosts that want faster containment than the attempt budget.
 ///
 ///   - Stall kills: a worker that holds slots but has answered nothing
 ///     for WorkerStallMillis is SIGKILLed (FaultClass::Watchdog).
@@ -90,11 +88,9 @@
 /// layer probed at runtime and skipped without error where the kernel
 /// lacks it (sweep/Sandbox.h). The journal never crosses the fork:
 /// records travel over the socket and the parent appends them. Workers
-/// therefore open NOTHING, and the seccomp tier denies every open. With
-/// UseCgroupMemory and a writable cgroup-v2 memory controller, workers
-/// run under real `memory.max` accounting and OOM classification reads
-/// `memory.events` instead of the RLIMIT_AS + exit-97 convention
-/// (sweep/Cgroup.h).
+/// therefore open NOTHING, and the seccomp tier denies every open. A
+/// worker that runs out of address space exits with
+/// inject::OomExitCode, which classifyChildDeath maps to OomKill.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,8 +133,6 @@ struct PoolStats {
   uint64_t BackoffMicros = 0;
   /// Weakest sandbox tier any worker reported actually applying.
   SandboxTier Tier = SandboxTier::RlimitOnly;
-  /// True when workers ran under cgroup-v2 memory accounting.
-  bool CgroupMemory = false;
   /// True when the in-process rung ran (sweep::resilient) instead of a
   /// pool: no worker could be forked, or ForceForkFree.
   bool ForkFree = false;
@@ -188,33 +182,21 @@ struct PoolHostOptions {
   /// Worker address-space HEADROOM, bytes (0 leaves RLIMIT_AS unset): a
   /// worker starts with its host's whole address space, so its RLIMIT_AS
   /// is the host's size at fork() plus this many bytes. It turns a
-  /// runaway allocation into a clean exit(inject::OomExitCode), and is
-  /// skipped when cgroup memory accounting is active (the cgroup bounds
-  /// real memory instead, with RlimitAsBytes as memory.max).
+  /// runaway allocation into a clean exit(inject::OomExitCode).
   uint64_t RlimitAsBytes = 256ull << 20;
   /// Stall deadline, ms: a worker that holds slots and answers nothing
   /// for this long is SIGKILLed (FaultClass::Watchdog). 0 disables.
   uint64_t WorkerStallMillis = 30'000;
-  /// Quarantine a slot after this many worker deaths, even with attempt
-  /// budget left. 0 (default) leaves containment purely to MaxAttempts,
-  /// which is what keeps pooled quarantine decisions bit-identical to
-  /// the other executors; set K < MaxAttempts only when faster poison
-  /// containment is worth the documented divergence.
-  uint32_t PoisonWorkerDeaths = 0;
   /// Respawn backoff: the first respawn of a death streak is immediate
   /// (a transient crash should not slow the sweep), then the Nth
   /// consecutive respawn (no delivered record in between) waits
-  /// Base << (N-2) microseconds, capped at Max. Base 0 disables the
-  /// wait entirely.
+  /// this << (N-2) microseconds, capped at 500 ms. 0 disables the wait
+  /// entirely.
   uint64_t RespawnBackoffMicros = 1'000;
-  uint64_t RespawnBackoffMaxMicros = 500'000;
   /// Sandbox hardening opt-ins (sweep/Sandbox.h). Defaults off: the
   /// rlimit-only sandbox is the behavior-compatible baseline.
   bool EnableSeccomp = false;
   bool EnableLandlock = false;
-  /// cgroup-v2 memory accounting opt-in (sweep/Cgroup.h). Silently
-  /// falls back to RLIMIT_AS + exit-97 when the host says no.
-  bool UseCgroupMemory = false;
   /// Skip straight to in-process resilient, for tests and hosts that
   /// know better.
   bool ForceForkFree = false;

@@ -85,8 +85,9 @@ struct ResilientOptions {
   /// Optional flight recorder (borrowed): each worker records slot spans
   /// with nested attempt spans plus retry/quarantine instants on its own
   /// "resilient-worker-<i>" track. Under sweep::pooled the SAME spans
-  /// are recorded worker-side and stitched back through the shm arena,
-  /// so forked and fork-free timelines agree on slot spans. Never
+  /// are recorded worker-side and sent back over the worker's socket
+  /// with each record, so forked and fork-free timelines agree on slot
+  /// spans. Never
   /// perturbs runs, retry trajectories, or checkpoint journals.
   obs::Timeline *Timeline = nullptr;
   /// Journal path; empty disables checkpointing.
@@ -204,9 +205,6 @@ void openResilientCheckpoint(const ResilientOptions &Opts,
 
 /// Hardened form of a serial pipeline::sweep of \p S (Threads = 1).
 ResilientOptions resilientFrom(const pipeline::SweepOptions &S, Runner Body);
-
-/// Hardened form of an adaptive sweep's explore prefix is NOT provided:
-/// sweep::adaptive hardens itself (AdaptiveOptions::MaxAttempts).
 
 } // namespace sweep
 } // namespace grs

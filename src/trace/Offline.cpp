@@ -14,7 +14,6 @@ using race::EventKind;
 OfflineDetector::OfflineDetector(race::DetectorOptions Opts) : Det(Opts) {}
 
 void OfflineDetector::setMetrics(obs::Registry *Reg) {
-  Metrics = Reg;
   MEvents = Reg ? Reg->counter("grs_trace_replay_events_total") : nullptr;
 }
 
@@ -154,7 +153,6 @@ race::StrId OfflineDetector::nameId(const Trace &T, TraceStrId Str) {
 }
 
 bool OfflineDetector::replay(const Trace &T) {
-  obs::Span S = Metrics ? Metrics->span("replay") : obs::Span();
   // Trace string ids are per trace.
   NameIds.assign(T.Strings.size(), Unmapped);
   for (const TraceRecord &Record : T.Events) {

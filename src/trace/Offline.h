@@ -48,8 +48,8 @@ public:
 
   /// Attaches a metrics registry (borrowed; must outlive the detector).
   /// Each replay then bumps `grs_trace_replay_events_total` per applied
-  /// event and runs under a "replay" phase span, so events/sec falls out
-  /// of the exported phase timings. Null detaches.
+  /// event; a caller that wants events/sec times replay() itself (an
+  /// obs::TimelineScope around the call). Null detaches.
   void setMetrics(obs::Registry *Reg);
 
   /// Feeds every event of \p T into the detector, in order. Annotation
@@ -96,7 +96,6 @@ private:
   uint64_t EventsReplayed = 0;
   std::string Error;
   /// Optional telemetry (see setMetrics).
-  obs::Registry *Metrics = nullptr;
   obs::Counter *MEvents = nullptr;
 };
 

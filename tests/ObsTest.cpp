@@ -4,10 +4,10 @@
 // Real-World Data Races in Golang" (PLDI 2022).
 //
 // Covers the obs instruments and registry, the zero-overhead-when-disabled
-// contract (null handles), the hierarchical phase profiler under an
-// injected clock, exporter golden outputs, and the determinism property:
-// the same seed produces a bit-identical exported snapshot — for runtime
-// fleet runs, for deployment simulations, and for offline trace replay.
+// contract (null handles), exporter golden outputs, the determinism
+// property — the same seed produces a bit-identical exported snapshot, for
+// runtime fleet runs, for deployment simulations, and for offline trace
+// replay — and the metrics server, refusals included.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +29,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <arpa/inet.h>
@@ -44,12 +44,6 @@ using namespace grs;
 using namespace grs::obs;
 
 namespace {
-
-/// Installs a deterministic clock on \p R: each call advances \p StepNs.
-void installFakeClock(Registry &R, uint64_t StepNs = 100) {
-  auto T = std::make_shared<uint64_t>(0);
-  R.setClock([T, StepNs] { return *T += StepNs; });
-}
 
 //===----------------------------------------------------------------------===//
 // Instrument basics
@@ -188,16 +182,6 @@ TEST(Obs, DisabledRegistryHandsOutNullHandles) {
   set(nullptr, 1.0);
   observe(nullptr, 1.0);
   append(nullptr, 1.0);
-  // Disabled spans never touch the clock.
-  R.setClock([]() -> uint64_t {
-    ADD_FAILURE() << "disabled registry read the clock";
-    return 0;
-  });
-  {
-    Span S = R.span("phase");
-    S.end();
-  }
-  EXPECT_TRUE(R.phaseRoot().Children.empty());
   // Exports of an empty registry are empty strings.
   EXPECT_EQ(prometheusText(R), "");
   EXPECT_EQ(jsonLines(R), "");
@@ -215,69 +199,11 @@ TEST(Obs, RuntimeTreatsDisabledRegistryAsAbsent) {
 }
 
 //===----------------------------------------------------------------------===//
-// Phase profiler
-//===----------------------------------------------------------------------===//
-
-TEST(Obs, SpanTreeSelfVsCumulativeUnderFakeClock) {
-  Registry R;
-  installFakeClock(R); // now() = 100, 200, 300, ...
-  {
-    Span A = R.span("a"); // start 100
-    {
-      Span B = R.span("b"); // start 200
-    }                       // end 300 -> b cum 100
-  }                         // end 400 -> a cum 300
-  const PhaseNode *A = R.phaseRoot().find("a");
-  ASSERT_NE(A, nullptr);
-  EXPECT_EQ(A->Count, 1u);
-  EXPECT_EQ(A->CumulativeNs, 300u);
-  EXPECT_EQ(A->selfNs(), 200u);
-  const PhaseNode *B = A->find("b");
-  ASSERT_NE(B, nullptr);
-  EXPECT_EQ(B->Count, 1u);
-  EXPECT_EQ(B->CumulativeNs, 100u);
-  EXPECT_EQ(B->selfNs(), 100u);
-  // Re-entering a phase accumulates into the same node.
-  { Span A2 = R.span("a"); } // start 500, end 600 -> cum 300+100
-  EXPECT_EQ(A->Count, 2u);
-  EXPECT_EQ(A->CumulativeNs, 400u);
-}
-
-TEST(Obs, SpanMoveTransfersOwnership) {
-  Registry R;
-  installFakeClock(R);
-  Span Outer;
-  {
-    Span Inner = R.span("moved");
-    Outer = std::move(Inner);
-  } // Inner's destructor must not close the phase.
-  EXPECT_EQ(R.phaseRoot().find("moved")->CumulativeNs, 0u);
-  Outer.end();
-  EXPECT_EQ(R.phaseRoot().find("moved")->CumulativeNs, 100u);
-  Outer.end(); // idempotent
-  EXPECT_EQ(R.phaseRoot().find("moved")->CumulativeNs, 100u);
-}
-
-TEST(Obs, RenderPhaseTableIndentsChildren) {
-  Registry R;
-  installFakeClock(R);
-  {
-    Span A = R.span("outer");
-    Span B = R.span("inner");
-  }
-  std::ostringstream OS;
-  renderPhaseTable(OS, R, "Phases");
-  EXPECT_NE(OS.str().find("| outer"), std::string::npos);
-  EXPECT_NE(OS.str().find("|   inner"), std::string::npos);
-}
-
-//===----------------------------------------------------------------------===//
 // Exporter goldens
 //===----------------------------------------------------------------------===//
 
 /// Builds the small fixed registry both golden tests snapshot.
 void buildGoldenRegistry(Registry &R) {
-  installFakeClock(R);
   R.counter("grs_test_ops_total")->inc(3);
   R.counter("grs_test_ops_total", {{"kind", "write"}})->inc(2);
   R.gauge("grs_test_ratio")->set(0.5);
@@ -290,10 +216,6 @@ void buildGoldenRegistry(Registry &R) {
   Timeseries *S = R.timeseries("grs_test_series");
   S->append(1.0);
   S->append(2.5);
-  {
-    Span A = R.span("a");
-    Span B = R.span("b");
-  }
 }
 
 TEST(Obs, PrometheusGolden) {
@@ -314,13 +236,7 @@ TEST(Obs, PrometheusGolden) {
             "grs_test_latency_count 3\n"
             "# TYPE grs_test_series gauge\n"
             "grs_test_series 2.5\n"
-            "grs_test_series_points 2\n"
-            "# TYPE grs_obs_phase_ns_total counter\n"
-            "# TYPE grs_obs_phase_calls_total counter\n"
-            "grs_obs_phase_ns_total{path=\"a\"} 300\n"
-            "grs_obs_phase_calls_total{path=\"a\"} 1\n"
-            "grs_obs_phase_ns_total{path=\"a/b\"} 100\n"
-            "grs_obs_phase_calls_total{path=\"a/b\"} 1\n");
+            "grs_test_series_points 2\n");
 }
 
 TEST(Obs, JsonLinesGolden) {
@@ -339,11 +255,7 @@ TEST(Obs, JsonLinesGolden) {
       "{\"le\":\"1\",\"count\":1},{\"le\":\"2\",\"count\":0},"
       "{\"le\":\"4\",\"count\":1},{\"le\":\"+Inf\",\"count\":1}]}\n"
       "{\"type\":\"series\",\"name\":\"grs_test_series\",\"labels\":{},"
-      "\"values\":[1,2.5]}\n"
-      "{\"type\":\"phase\",\"path\":\"a\",\"calls\":1,\"cum_ns\":300,"
-      "\"self_ns\":200}\n"
-      "{\"type\":\"phase\",\"path\":\"a/b\",\"calls\":1,\"cum_ns\":100,"
-      "\"self_ns\":100}\n");
+      "\"values\":[1,2.5]}\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -378,8 +290,6 @@ TEST(Obs, DeploymentSnapshotIsSeedDeterministic) {
   Config.Days = 40;
   Config.InitialLatentRaces = 120;
   Registry R1, R2;
-  installFakeClock(R1);
-  installFakeClock(R2);
 
   Config.Metrics = &R1;
   pipeline::DeploymentSimulator Sim1(Config);
@@ -412,7 +322,6 @@ TEST(Obs, ReplaySnapshotIsDeterministicAndMatchesOnlineVerdicts) {
   }
 
   auto ReplayInto = [&](Registry &R, const trace::TraceSink &From) {
-    installFakeClock(R);
     trace::OfflineDetector Offline;
     DetectorObserver Observer(R, &Offline.det());
     Offline.det().setEventObserver(&Observer);
@@ -571,9 +480,10 @@ TEST(Obs, PeakGaugesStayMonotoneWhenScrapeStraddlesGc) {
 
 #if defined(__unix__) || defined(__APPLE__)
 
-/// One-shot HTTP GET against 127.0.0.1:\p Port; returns the raw response
-/// (status line, headers, body) or "" on connection failure.
-std::string httpGet(uint16_t Port, const std::string &Target) {
+/// Sends the raw bytes \p Req to 127.0.0.1:\p Port and reads to end of
+/// file; returns the raw response (status line, headers, body) or "" on
+/// connection failure.
+std::string httpSend(uint16_t Port, const std::string &Req) {
   int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (Fd < 0)
     return "";
@@ -586,7 +496,6 @@ std::string httpGet(uint16_t Port, const std::string &Target) {
     ::close(Fd);
     return "";
   }
-  std::string Req = "GET " + Target + " HTTP/1.1\r\nHost: l\r\n\r\n";
   size_t Off = 0;
   while (Off < Req.size()) {
     ssize_t N = ::write(Fd, Req.data() + Off, Req.size() - Off);
@@ -601,6 +510,18 @@ std::string httpGet(uint16_t Port, const std::string &Target) {
     Resp.append(Buf, static_cast<size_t>(N));
   ::close(Fd);
   return Resp;
+}
+
+/// One-shot HTTP GET of \p Target against 127.0.0.1:\p Port.
+std::string httpGet(uint16_t Port, const std::string &Target) {
+  return httpSend(Port, "GET " + Target + " HTTP/1.1\r\nHost: l\r\n\r\n");
+}
+
+/// Milliseconds since \p Start.
+int64_t millisSince(std::chrono::steady_clock::time_point Start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - Start)
+      .count();
 }
 
 TEST(MetricsServer, ServesPublishedSnapshotsOverLoopback) {
@@ -707,6 +628,63 @@ TEST(MetricsServer, HealthzTraceJsonAndEndpointListing404) {
   EXPECT_NE(Miss.find("/healthz"), std::string::npos);
   EXPECT_NE(Miss.find("/metrics.jsonl"), std::string::npos);
 
+  S.stop();
+}
+
+TEST(MetricsServer, OverlongContentLengthIsRefusedBeforeAnyBody) {
+  MetricsServer S;
+  ASSERT_TRUE(S.start(0));
+  // Twice the cap, then 2^64 - 1, 2^64 and 2^64 + 1, which a 64-bit
+  // parse without saturation wraps to -1, 0 and 1.
+  const char *Lengths[] = {"2097152", "18446744073709551615",
+                           "18446744073709551616", "18446744073709551617"};
+  for (const char *Len : Lengths) {
+    auto Start = std::chrono::steady_clock::now();
+    std::string Resp =
+        httpSend(S.port(), std::string("GET /healthz HTTP/1.1\r\nHost: l\r\n"
+                                       "Content-Length: ") +
+                               Len + "\r\n\r\n");
+    EXPECT_NE(Resp.find("HTTP/1.1 413"), std::string::npos)
+        << "Content-Length " << Len << ": " << Resp;
+    EXPECT_LT(millisSince(Start),
+              static_cast<int64_t>(MetricsServer::ReadTimeoutMillis))
+        << "Content-Length " << Len << " waited for a body";
+  }
+  EXPECT_EQ(S.overlargeCount(), 4u);
+  EXPECT_EQ(S.timeoutCount(), 0u);
+  S.stop();
+}
+
+TEST(MetricsServer, MalformedRequestLineGets400) {
+  MetricsServer S;
+  ASSERT_TRUE(S.start(0));
+  std::string Resp = httpSend(S.port(), "GARBAGE\r\nHost: l\r\n\r\n");
+  EXPECT_NE(Resp.find("HTTP/1.1 400"), std::string::npos) << Resp;
+  EXPECT_NE(Resp.find("malformed request"), std::string::npos) << Resp;
+  EXPECT_EQ(S.overlargeCount(), 0u);
+  EXPECT_EQ(S.timeoutCount(), 0u);
+  S.stop();
+}
+
+TEST(MetricsServer, SilentHalfRequestTimesOutWith408) {
+  MetricsServer S;
+  ASSERT_TRUE(S.start(0));
+  // Half a request line, then silence: the slowloris shape holds the one
+  // serving thread for exactly the read timeout, then gets 408.
+  auto Start = std::chrono::steady_clock::now();
+  std::string Resp = httpSend(S.port(), "GET /heal");
+  int64_t Waited = millisSince(Start);
+  EXPECT_NE(Resp.find("HTTP/1.1 408"), std::string::npos) << Resp;
+  // The server rounds the time left down to whole milliseconds, so it
+  // may answer up to 1 ms before the timeout.
+  EXPECT_GE(Waited + 1,
+            static_cast<int64_t>(MetricsServer::ReadTimeoutMillis));
+  EXPECT_EQ(S.timeoutCount(), 1u);
+  // The serving thread is free again at once.
+  Start = std::chrono::steady_clock::now();
+  std::string Health = httpGet(S.port(), "/healthz");
+  EXPECT_NE(Health.find("HTTP/1.1 200"), std::string::npos) << Health;
+  EXPECT_LT(millisSince(Start), 1'000);
   S.stop();
 }
 

@@ -292,7 +292,7 @@ TEST(Runtime, FloatingPointControlStateIsPerGoroutine) {
 TEST(Runtime, DeepStacksSurviveAYieldAtTheBottom) {
   // Two goroutines each recurse through ~200 KiB of a 256 KiB stack and
   // yield there until both are suspended that deep at once.
-  ASSERT_EQ(RunOptions().StackBytes, 256u * 1024);
+  ASSERT_EQ(FiberStackBytes, 256u * 1024);
   Runtime RT(withSeed(13));
   uint64_t SumA = 0, SumB = 0;
   RunResult Result = RT.run([&] {

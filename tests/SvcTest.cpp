@@ -255,8 +255,8 @@ TEST(JobSpec, CanonicalRoundTripAndHashStability) {
   ASSERT_TRUE(JobSpec::parse(V, Spec, Error)) << Error;
 
   // parse(render(spec)) is the identity on canonical bytes — the
-  // property that lets spec bytes travel through shared memory and
-  // resolve identically on both sides of a fork.
+  // property that lets spec bytes travel to a pool worker and resolve
+  // identically on both sides of a fork.
   support::Json V2;
   ASSERT_TRUE(support::parseJson(Spec.canonicalBytes(), V2, Error));
   JobSpec Spec2;
